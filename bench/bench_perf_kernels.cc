@@ -40,11 +40,13 @@
 #include "ml/histogram.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "ml/serialize.h"
 #include "ml/tuning.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_metamodel.h"
 #include "shard/coordinator.h"
 #include "shard/source_spec.h"
 #include "shard/worker.h"
@@ -364,6 +366,46 @@ KernelResult BenchRfHist(const PerfFlags& flags) {
   });
   result.quality_delta = std::fabs(TrainLogLoss(ref, d) - TrainLogLoss(opt, d));
   result.identical = result.quality_delta == 0.0;
+  return result;
+}
+
+// --- Metamodel inference: the per-row oracle (tests/reference_metamodel.h,
+// which re-reads the serialized model and walks it one row at a time) vs
+// PredictBlock over blocks of the relabel pass's default size. Exact: every
+// probability must match the oracle bit for bit.
+KernelResult BenchPredictBlock(const PerfFlags& flags, ml::MetamodelKind kind) {
+  KernelResult result;
+  result.name = "metamodel_predict_block_" + ml::MetamodelSuffix(kind);
+  const Dataset train = RandomData(flags.n_train, flags.dims, flags.seed + 13);
+  const std::unique_ptr<ml::Metamodel> model =
+      ml::FitDefault(kind, train, flags.seed + 14);
+  util::ByteWriter bytes;
+  ml::SerializeMetamodel(*model, kind, &bytes);
+  const reference::MetamodelOracle oracle(kind, bytes.data());
+  const int n = std::max(flags.l_points, 20000);
+  const int m = flags.dims;
+  const Dataset probe = RandomData(n, m, flags.seed + 15);
+  result.detail = "L=" + std::to_string(n) + " d=" + std::to_string(m) +
+                  " n_train=" + std::to_string(flags.n_train);
+
+  constexpr int kBlockRows = 8192;
+  std::vector<double> expected(static_cast<size_t>(n));
+  std::vector<double> out(static_cast<size_t>(n));
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    for (int i = 0; i < n; ++i) {
+      expected[static_cast<size_t>(i)] = oracle.Predict(probe.row(i));
+    }
+  });
+  result.optimized_seconds = TimeBest(flags.reps, [&] {
+    for (int r0 = 0; r0 < n; r0 += kBlockRows) {
+      model->PredictBlock(
+          la::ConstMatrixView(probe.row(r0), std::min(kBlockRows, n - r0), m),
+          out.data() + r0);
+    }
+  });
+  result.identical = oracle.ok() && std::memcmp(expected.data(), out.data(),
+                                                expected.size() *
+                                                    sizeof(double)) == 0;
   return result;
 }
 
@@ -1312,6 +1354,13 @@ int main(int argc, char** argv) {
         [&] { return BenchGbtHist(flags, flags.threads); });
   maybe("rf_fit", [&] { return BenchRfFit(flags); });
   maybe("rf_fit_hist", [&] { return BenchRfHist(flags); });
+  maybe("metamodel_predict_block_f", [&] {
+    return BenchPredictBlock(flags, ml::MetamodelKind::kRandomForest);
+  });
+  maybe("metamodel_predict_block_x",
+        [&] { return BenchPredictBlock(flags, ml::MetamodelKind::kGbt); });
+  maybe("metamodel_predict_block_s",
+        [&] { return BenchPredictBlock(flags, ml::MetamodelKind::kSvm); });
   maybe("bi_search", [&] { return BenchBi(flags); });
   maybe("hist_accumulate", [&] { return BenchHistAccumulate(flags); });
   maybe("hist_accumulate_q16", [&] { return BenchHistAccumulateQ16(flags); });

@@ -1,6 +1,7 @@
 #include "core/binned_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -57,8 +58,14 @@ std::vector<int> PackRuns(const std::vector<ValueRun>& runs, int n,
   return begins;
 }
 
-void SketchBlock(const double* x, int rows, int m, int cap,
-                 std::vector<ColumnSketch>* cols) {
+// Bucket-table resolution of BinCoder: a few buckets per bound keeps the
+// expected candidate range at zero or one bound on quantile-spaced bins.
+constexpr int kBucketsPerBound = 4;
+
+}  // namespace
+
+void SketchRows(const double* x, int rows, int m, int cap,
+                std::vector<ColumnSketch>* cols) {
   for (int j = 0; j < m; ++j) {
     ColumnSketch& col = (*cols)[static_cast<size_t>(j)];
     for (int r = 0; r < rows; ++r) {
@@ -67,16 +74,14 @@ void SketchBlock(const double* x, int rows, int m, int cap,
   }
 }
 
-}  // namespace
-
 // One-time spill of the exact pairs into the sketch on cap overflow. The
 // sketch is seeded lazily via weighted inserts the moment the cap breaks,
 // which summarizes the exact same multiset the eager feed would have --
-// with an exactly-known prefix.
+// with an exactly-known prefix. The sketch only ever sees values after the
+// spill, so it is empty here and the ascending pairs go in as one run.
 void ColumnSketch::SpillToSketch() {
-  for (size_t i = 0; i < distinct.size(); ++i) {
-    sketch.AddWeighted(distinct[i], count[i]);
-  }
+  assert(sketch.count() == 0);
+  sketch.AddSortedWeighted(distinct.data(), count.data(), distinct.size());
   distinct.clear();
   distinct.shrink_to_fit();
   count.clear();
@@ -210,6 +215,50 @@ std::vector<double> StreamedBinUpperBounds(ColumnSketch* summary, int64_t n,
   // Catch-all last bin; its recorded bounds come from the coding pass.
   ub.push_back(std::numeric_limits<double>::infinity());
   return ub;
+}
+
+BinCoder::BinCoder(std::vector<double> upper) : upper_(std::move(upper)) {
+  assert(!upper_.empty() &&
+         upper_.size() <= static_cast<size_t>(BinnedIndex::kMaxBins));
+  // Buckets span [first bound, last finite bound]. Bounds that cannot be
+  // bucketed (NaN, an infinite first bound, a degenerate or overflowing
+  // span) leave a single bucket: a search over every bound.
+  const double lo = upper_.front();
+  double hi = lo;
+  bool has_nan = false;
+  for (const double u : upper_) {
+    has_nan = has_nan || std::isnan(u);
+    if (std::isfinite(u)) hi = u;
+  }
+  int buckets = 1;
+  if (!has_nan && std::isfinite(lo) && hi > lo) {
+    buckets = kBucketsPerBound * static_cast<int>(upper_.size());
+    const double scale = buckets / (hi - lo);
+    if (std::isfinite(scale) && scale > 0.0) {
+      lo_ = lo;
+      scale_ = scale;
+    } else {
+      buckets = 1;
+    }
+  }
+  last_bucket_ = buckets - 1;
+  first_.resize(static_cast<size_t>(buckets) + 1);
+  size_t k = 0;
+  for (int b = 0; b < buckets; ++b) {
+    while (k < upper_.size() && Bucket(upper_[k]) < b) ++k;
+    first_[static_cast<size_t>(b)] = static_cast<uint16_t>(k);
+  }
+  first_[static_cast<size_t>(buckets)] = static_cast<uint16_t>(upper_.size());
+}
+
+void CodeColumn(const BinCoder& coder, const double* x, int rows, int stride,
+                std::vector<uint8_t>* codes, BinCodingStats* stats) {
+  for (int r = 0; r < rows; ++r) {
+    const double v = x[static_cast<size_t>(r) * stride];
+    const uint8_t b = coder.Code(v);
+    codes->push_back(b);
+    stats->Observe(b, v);
+  }
 }
 
 void BinCodingStats::Reset(size_t bins) {
@@ -375,7 +424,7 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
         y.insert(y.end(), block->y, block->y + rows);
         local.assign(static_cast<size_t>(m),
                      ColumnSketch(options.sketch_eps));
-        SketchBlock(block->x.data(), rows, m, cap, &local);
+        SketchRows(block->x.data(), rows, m, cap, &local);
         for (int j = 0; j < m; ++j) {
           acc[static_cast<size_t>(j)].MergeFrom(local[static_cast<size_t>(j)],
                                                 cap);
@@ -414,7 +463,7 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
           slot.local.assign(static_cast<size_t>(m),
                             ColumnSketch(options.sketch_eps));
           pool->Submit([&slot, m, cap] {
-            SketchBlock(slot.x.data(), slot.rows, m, cap, &slot.local);
+            SketchRows(slot.x.data(), slot.rows, m, cap, &slot.local);
           });
         }
         pool->Wait();
@@ -437,14 +486,15 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
   const int n = static_cast<int>(n64);
 
   // --- Bin boundaries: distinct values when they fit, sketch quantiles ---
-  // otherwise. upper[j] holds ascending bin upper bounds; a value's code is
+  // otherwise. coders[j] holds ascending bin upper bounds; a value's code is
   // the first bin whose upper bound is >= it.
-  std::vector<std::vector<double>> upper(static_cast<size_t>(m));
+  std::vector<BinCoder> coders;
+  coders.reserve(static_cast<size_t>(m));
   bool any_sketch = false;
   for (int j = 0; j < m; ++j) {
     ColumnSketch& cs = acc[static_cast<size_t>(j)];
     any_sketch = any_sketch || cs.overflow;
-    upper[static_cast<size_t>(j)] = StreamedBinUpperBounds(&cs, n, cap);
+    coders.emplace_back(StreamedBinUpperBounds(&cs, n, cap));
   }
 
   // --- Pass 2: code every row chunk by chunk, tracking per-bin counts ----
@@ -461,7 +511,8 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
   std::vector<BinCodingStats> stats(static_cast<size_t>(m));
   for (int j = 0; j < m; ++j) {
     binned->codes_[static_cast<size_t>(j)].reserve(static_cast<size_t>(n));
-    stats[static_cast<size_t>(j)].Reset(upper[static_cast<size_t>(j)].size());
+    stats[static_cast<size_t>(j)].Reset(
+        coders[static_cast<size_t>(j)].num_bins());
   }
 
   auto code_span = std::make_unique<obs::Span>("index.code_pass");
@@ -479,15 +530,9 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
     }
     const double* x = block->x.data();
     auto code_column = [&, x, rows](int j) {
-      const std::vector<double>& ub = upper[static_cast<size_t>(j)];
-      std::vector<uint8_t>& codes = binned->codes_[static_cast<size_t>(j)];
-      BinCodingStats& cs = stats[static_cast<size_t>(j)];
-      for (int r = 0; r < rows; ++r) {
-        const double v = x[static_cast<size_t>(r) * m + j];
-        const uint8_t b = StreamedCodeOf(ub, v);
-        codes.push_back(b);
-        cs.Observe(b, v);
-      }
+      CodeColumn(coders[static_cast<size_t>(j)], x + j, rows, m,
+                 &binned->codes_[static_cast<size_t>(j)],
+                 &stats[static_cast<size_t>(j)]);
     };
     if (code_pool != nullptr) {
       for (int j = 0; j < m; ++j) {

@@ -126,7 +126,8 @@ struct ColumnSketch {
 
   explicit ColumnSketch(double eps) : sketch(eps) {}
 
-  /// One-time spill of the exact pairs into the sketch on cap overflow.
+  /// One-time spill of the exact pairs into the (still empty) sketch on
+  /// cap overflow.
   void SpillToSketch();
 
   void AddValue(double v, int cap);
@@ -138,6 +139,12 @@ struct ColumnSketch {
   void SerializeTo(util::ByteWriter* out) const;
   static Result<ColumnSketch> DeserializeFrom(util::ByteReader* in);
 };
+
+/// Feeds a row-major block (`rows` rows of `m` doubles) into per-column
+/// summaries, column by column. The sketch pass of BuildStreamed and of the
+/// shard workers.
+void SketchRows(const double* x, int rows, int m, int cap,
+                std::vector<ColumnSketch>* cols);
 
 /// Bin upper bounds derived from a finished pass-1 column summary: the
 /// distinct values themselves below the cap, equal-share sketch quantiles
@@ -164,15 +171,53 @@ struct BinCodingStats {
   }
 };
 
-/// Raw-bin code of value `v` against ascending upper bounds: the first bin
-/// whose upper bound is >= v, clamped into range for values beyond the last
-/// bound (non-deterministic sources only).
-inline uint8_t StreamedCodeOf(const std::vector<double>& upper, double v) {
-  size_t b = static_cast<size_t>(
-      std::lower_bound(upper.begin(), upper.end(), v) - upper.begin());
-  if (b == upper.size()) --b;
-  return static_cast<uint8_t>(b);
-}
+/// Raw-bin coder of one column. The code of value `v` is the first bin
+/// whose upper bound is >= v -- std::lower_bound over the ascending bounds
+/// -- clamped into range for values beyond the last bound (non-deterministic
+/// sources only). A bucket table over the finite bound range narrows each
+/// search to the bounds that share v's bucket. The bucket map is monotone
+/// in v, so the first bound that is not below v always lies in that
+/// narrow range: the code equals the whole-array search's for every v.
+class BinCoder {
+ public:
+  explicit BinCoder(std::vector<double> upper);
+
+  uint8_t Code(double v) const {
+    const int b = Bucket(v);
+    const double* bounds = upper_.data();
+    size_t k = static_cast<size_t>(
+        std::lower_bound(bounds + first_[static_cast<size_t>(b)],
+                         bounds + first_[static_cast<size_t>(b) + 1], v) -
+        bounds);
+    if (k == upper_.size()) --k;
+    return static_cast<uint8_t>(k);
+  }
+
+  /// Raw bins (upper bounds) of the column.
+  size_t num_bins() const { return upper_.size(); }
+
+ private:
+  // Monotone non-decreasing in v; NaN maps to bucket 0.
+  int Bucket(double v) const {
+    const double t = (v - lo_) * scale_;
+    if (!(t > 0.0)) return 0;
+    return t < last_bucket_ ? static_cast<int>(t) : last_bucket_;
+  }
+
+  std::vector<double> upper_;
+  // [bucket] first bound that can be a code of the bucket's values; the
+  // bucket's candidates are [first_[b], first_[b + 1]]. Size buckets + 1.
+  std::vector<uint16_t> first_;
+  double lo_ = 0.0;
+  double scale_ = 0.0;  // buckets per unit of value; 0: one bucket
+  int last_bucket_ = 0;
+};
+
+/// Codes one column of a row block (`rows` values, `stride` doubles apart,
+/// starting at `x`): appends each value's code to `codes` and folds it into
+/// `stats`. The coding pass of BuildStreamed and of the shard workers.
+void CodeColumn(const BinCoder& coder, const double* x, int rows, int stride,
+                std::vector<uint8_t>* codes, BinCodingStats* stats);
 
 /// Final per-column bin layout: empty raw bins dropped, exact first/last
 /// bounds, cumulative rank offsets (size live + 1), and the raw-bin ->

@@ -80,9 +80,12 @@ std::string Box::ToString(const std::vector<std::string>& names) const {
     if (!IsRestricted(j)) continue;
     if (!first) out << " AND ";
     first = false;
-    const std::string name = static_cast<size_t>(j) < names.size()
-                                 ? names[static_cast<size_t>(j)]
-                                 : "a" + std::to_string(j + 1);
+    std::string name = "a";
+    if (static_cast<size_t>(j) < names.size()) {
+      name = names[static_cast<size_t>(j)];
+    } else {
+      name += std::to_string(j + 1);
+    }
     const double l = lo(j);
     const double h = hi(j);
     if (l != -kInf && h != kInf) {

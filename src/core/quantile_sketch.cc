@@ -3,8 +3,75 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 namespace reds {
+
+namespace {
+
+// Order-preserving integer image of a double: ascending keys are ascending
+// values, with -0.0 just below +0.0.
+uint64_t SortKey(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+double FromSortKey(uint64_t key) {
+  const uint64_t bits =
+      (key >> 63) != 0 ? key & ~(uint64_t{1} << 63) : ~key;
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+// Sorts the insert buffer ascending with an LSD radix sort over SortKey,
+// skipping byte positions every key shares. When no two values compare
+// equal without being the same bits -- i.e. no -0.0 (equal to +0.0) and no
+// NaN (unordered) -- every correct sort yields the same sequence, so this is
+// exactly std::sort's result. Buffers holding either keep std::sort, whose
+// arrangement of such ties the summary has always recorded.
+void SortBuffer(std::vector<double>* buffer) {
+  const size_t n = buffer->size();
+  static thread_local std::vector<uint64_t> keys, scratch;
+  keys.resize(n);
+  scratch.resize(n);
+  uint32_t count[8][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const double v = (*buffer)[i];
+    if (std::isnan(v) || (v == 0.0 && std::signbit(v))) {
+      std::sort(buffer->begin(), buffer->end());
+      return;
+    }
+    const uint64_t key = SortKey(v);
+    keys[i] = key;
+    for (int pass = 0; pass < 8; ++pass) {
+      ++count[pass][(key >> (8 * pass)) & 0xFF];
+    }
+  }
+  uint64_t* src = keys.data();
+  uint64_t* dst = scratch.data();
+  for (int pass = 0; pass < 8; ++pass) {
+    uint32_t* bucket = count[pass];
+    const int shift = 8 * pass;
+    if (bucket[(src[0] >> shift) & 0xFF] == n) continue;  // shared byte
+    uint32_t offset = 0;
+    for (int b = 0; b < 256; ++b) {
+      const uint32_t c = bucket[b];
+      bucket[b] = offset;
+      offset += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = src[i];
+      dst[bucket[(key >> shift) & 0xFF]++] = key;
+    }
+    std::swap(src, dst);
+  }
+  for (size_t i = 0; i < n; ++i) (*buffer)[i] = FromSortKey(src[i]);
+}
+
+}  // namespace
 
 QuantileSketch::QuantileSketch(double eps) : eps_(eps) {
   assert(eps > 0.0 && eps < 0.5);
@@ -58,58 +125,99 @@ void QuantileSketch::AddWeighted(double v, int64_t w) {
   Compress();
 }
 
+// Each pair lands as AddWeighted would land it past the current maximum: a
+// new exact tuple (delta 0) at the end, then a Compress pass. That pass
+// merges nothing unless some adjacent pair (i-1, i), i >= 2, satisfies
+// g[i-1] + g[i] + delta[i] <= budget (with no earlier merge the pending
+// tuple is just tuples_[i-1]); tracking the smallest such sum skips every
+// no-op pass while running each effective one exactly as AddWeighted does.
+void QuantileSketch::AddSortedWeighted(const double* v, const int64_t* w,
+                                       size_t k) {
+  Flush();
+  const auto min_pair_sum = [this] {
+    int64_t best = std::numeric_limits<int64_t>::max();
+    for (size_t i = 2; i < tuples_.size(); ++i) {
+      best = std::min(best,
+                      tuples_[i - 1].g + tuples_[i].g + tuples_[i].delta);
+    }
+    return best;
+  };
+  int64_t min_pair = min_pair_sum();
+  for (size_t i = 0; i < k; ++i) {
+    if (w[i] <= 0) continue;
+    assert(tuples_.empty() || v[i] > tuples_.back().v);
+    Tuple t;
+    t.v = v[i];
+    t.g = w[i];
+    tuples_.push_back(t);
+    n_ += w[i];
+    const size_t size = tuples_.size();
+    if (size >= 3) {
+      min_pair = std::min(min_pair, tuples_[size - 2].g + t.g);
+    }
+    if (min_pair <= GapBudget(n_)) {
+      Compress();
+      min_pair = min_pair_sum();
+    }
+  }
+}
+
 // Folds the sorted insert buffer into the tuple list. Equivalent to
 // inserting the buffered values one at a time in ascending order: each
 // lands as (v, g=1, delta) where delta is its successor's g + delta - 1
 // (the classic GK insertion bound), or 0 when it is the running minimum or
-// maximum -- so the extremes stay exact.
+// maximum -- so the extremes stay exact. The merge runs in place: the
+// existing tuples first move to the back of the grown array, and the write
+// cursor (one past the merged prefix) never passes the next unread tuple.
 void QuantileSketch::Flush() const {
   if (buffer_.empty()) return;
-  std::sort(buffer_.begin(), buffer_.end());
-  std::vector<Tuple> merged;
-  merged.reserve(tuples_.size() + buffer_.size());
-  size_t i = 0, j = 0;
-  while (i < tuples_.size() || j < buffer_.size()) {
+  SortBuffer(&buffer_);
+  const size_t t = tuples_.size();
+  const size_t k = buffer_.size();
+  tuples_.reserve(t + k);
+  tuples_.resize(t + k);
+  std::move_backward(tuples_.begin(),
+                     tuples_.begin() + static_cast<ptrdiff_t>(t),
+                     tuples_.end());
+  const Tuple* old = tuples_.data() + k;  // old[i]: the i-th existing tuple
+  size_t i = 0, j = 0, w = 0;
+  // Once the buffer is used up, the remaining tuples already sit in place.
+  while (j < k) {
     // Existing tuples win ties so an equal-valued insert sees them as its
     // successor (conservative and deterministic).
-    if (i < tuples_.size() &&
-        (j >= buffer_.size() || tuples_[i].v <= buffer_[j])) {
-      merged.push_back(tuples_[i]);
-      ++i;
-    } else {
-      Tuple t;
-      t.v = buffer_[j];
-      t.g = 1;
-      if (i >= tuples_.size()) {
-        t.delta = 0;  // running maximum (everything seen so far is <= v)
-      } else if (tuples_[i].pure) {
-        // The successor's mass is all copies of its own (strictly larger)
-        // value, so none of it precedes v: only the predecessor's
-        // uncertainty carries over. Essential next to heavy weighted
-        // tuples, whose g would otherwise poison every nearby insert.
-        t.delta = merged.empty() ? 0 : merged.back().delta;
-      } else {
-        t.delta = tuples_[i].g + tuples_[i].delta - 1;
-      }
-      if (merged.empty()) t.delta = 0;  // running minimum
-      merged.push_back(t);
-      ++j;
+    if (i < t && old[i].v <= buffer_[j]) {
+      tuples_[w++] = old[i++];
+      continue;
     }
+    Tuple nt;
+    nt.v = buffer_[j++];
+    nt.g = 1;
+    if (i >= t) {
+      nt.delta = 0;  // running maximum (everything seen so far is <= v)
+    } else if (old[i].pure) {
+      // The successor's mass is all copies of its own (strictly larger)
+      // value, so none of it precedes v: only the predecessor's
+      // uncertainty carries over. Essential next to heavy weighted
+      // tuples, whose g would otherwise poison every nearby insert.
+      nt.delta = w == 0 ? 0 : tuples_[w - 1].delta;
+    } else {
+      nt.delta = old[i].g + old[i].delta - 1;
+    }
+    if (w == 0) nt.delta = 0;  // running minimum
+    tuples_[w++] = nt;
   }
-  n_ += static_cast<int64_t>(buffer_.size());
+  n_ += static_cast<int64_t>(k);
   buffer_.clear();
-  tuples_ = std::move(merged);
 }
 
 // One forward pass that greedily merges a tuple into its right neighbor
 // whenever the combined gap stays within the budget. The first and last
 // tuples always survive, keeping the stream minimum and maximum exact.
+// Runs in place: the write cursor never passes the read cursor.
 void QuantileSketch::Compress() const {
   if (tuples_.size() < 3) return;
   const int64_t budget = GapBudget(n_);
-  std::vector<Tuple> out;
-  out.reserve(tuples_.size());
-  out.push_back(tuples_[0]);
+  size_t out = 1;  // tuples_[0] stays
   Tuple pending = tuples_[1];
   for (size_t i = 2; i < tuples_.size(); ++i) {
     Tuple next = tuples_[i];
@@ -121,16 +229,17 @@ void QuantileSketch::Compress() const {
       next.g += pending.g;
       pending = next;
     } else {
-      out.push_back(pending);
+      tuples_[out++] = pending;
       pending = next;
     }
   }
-  out.push_back(pending);
-  tuples_ = std::move(out);
+  tuples_[out++] = pending;
+  tuples_.resize(out);
 }
 
 void QuantileSketch::Merge(const QuantileSketch& other) {
   assert(eps_ == other.eps_ && "merged sketches must share eps");
+  assert(&other != this);
   other.Flush();
   Flush();
   if (other.tuples_.empty()) return;
@@ -142,34 +251,38 @@ void QuantileSketch::Merge(const QuantileSketch& other) {
   // Merge-walk by value. A tuple keeps its g; its delta grows by the gap of
   // its successor in the *other* summary (the other stream may interleave
   // that many values before it), which preserves the combined gap budget:
-  // g + delta' <= 2*eps*n_a + 2*eps*n_b = 2*eps*n.
-  std::vector<Tuple> merged;
-  merged.reserve(tuples_.size() + other.tuples_.size());
-  const std::vector<Tuple>& a = tuples_;
+  // g + delta' <= 2*eps*n_a + 2*eps*n_b = 2*eps*n. In place, as in Flush:
+  // this summary's tuples move to the back first.
+  const size_t na = tuples_.size();
   const std::vector<Tuple>& b = other.tuples_;
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    const bool take_a =
-        i < a.size() && (j >= b.size() || a[i].v <= b[j].v);
-    const std::vector<Tuple>& self = take_a ? a : b;
-    const std::vector<Tuple>& peer = take_a ? b : a;
-    size_t& k = take_a ? i : j;
+  tuples_.reserve(na + b.size());
+  tuples_.resize(na + b.size());
+  std::move_backward(tuples_.begin(),
+                     tuples_.begin() + static_cast<ptrdiff_t>(na),
+                     tuples_.end());
+  const Tuple* a = tuples_.data() + b.size();  // a[i]: this summary's i-th
+  size_t i = 0, j = 0, w = 0;
+  while (i < na || j < b.size()) {
+    const bool take_a = i < na && (j >= b.size() || a[i].v <= b[j].v);
+    Tuple t = take_a ? a[i] : b[j];
+    // The peer's next unconsumed tuple and its predecessor.
     const size_t peer_k = take_a ? j : i;
-    Tuple t = self[k];
-    if (peer_k < peer.size()) {
-      if (peer[peer_k].pure) {
+    const size_t peer_size = take_a ? b.size() : na;
+    if (peer_k < peer_size) {
+      const Tuple& next = take_a ? b[peer_k] : a[peer_k];
+      if (next.pure) {
         // The peer successor's mass is all copies of its own (>= t.v)
         // value, so it cannot interleave below t.v; the uncertainty in how
         // many peer values precede t.v is the peer predecessor's delta.
-        t.delta += peer_k > 0 ? peer[peer_k - 1].delta : 0;
+        t.delta += peer_k > 0 ? (take_a ? b[peer_k - 1] : a[peer_k - 1]).delta
+                              : 0;
       } else {
-        t.delta += peer[peer_k].g + peer[peer_k].delta - 1;
+        t.delta += next.g + next.delta - 1;
       }
     }
-    merged.push_back(t);
-    ++k;
+    tuples_[w++] = t;
+    (take_a ? i : j)++;
   }
-  tuples_ = std::move(merged);
   n_ += other.n_;
   Compress();
 }

@@ -42,6 +42,12 @@ class QuantileSketch {
   /// sketch work on low-cardinality streams entirely.
   void AddWeighted(double v, int64_t w);
 
+  /// AddWeighted(v[i], w[i]) for i = 0..k-1, in O(k) amortized instead of
+  /// O(k x summary): for strictly ascending values that all exceed every
+  /// value summarized so far (e.g. an exact (value, count) list spilled
+  /// into an empty sketch). The resulting state is identical.
+  void AddSortedWeighted(const double* v, const int64_t* w, size_t k);
+
   /// Folds `other` (a summary of a disjoint stream) into this sketch.
   /// Both must share the same eps.
   void Merge(const QuantileSketch& other);

@@ -28,25 +28,26 @@ std::shared_ptr<const ml::Metamodel> FitMetamodel(const Dataset& d,
                           config.tree_max_leaves);
 }
 
-Dataset LabelPoints(const ml::Metamodel& model, const std::vector<double>& x,
+// Labels the whole point set with one block call; the dataset takes over
+// the point storage.
+Dataset LabelPoints(const ml::Metamodel& model, std::vector<double> x,
                     int num_cols, bool probability_labels) {
   assert(x.size() % static_cast<size_t>(num_cols) == 0);
   const int n = static_cast<int>(x.size()) / num_cols;
-  Dataset out(num_cols);
-  out.Reserve(n);
-  for (int i = 0; i < n; ++i) {
-    const double* row = x.data() + static_cast<size_t>(i) * num_cols;
-    out.AddRow(row, MetamodelLabel(model, row, probability_labels));
-  }
-  return out;
+  std::vector<double> y(static_cast<size_t>(n));
+  MetamodelLabels(model, la::ConstMatrixView(x.data(), n, num_cols),
+                  probability_labels, y.data());
+  return Dataset(num_cols, std::move(x), std::move(y));
 }
 
-// D_new as a stream: one sequential sampler RNG draws the points in row
-// order and the metamodel labels each block in place. Replaying the RNG
-// from the same derived seed on Reset() makes both build passes (and any
-// block size) see the identical row sequence -- and, because the seed
-// derivation and the per-row sampler/label calls are exactly RedsRelabel's,
-// the stream is bit-identical to the materialized new_data.
+// D_new as a stream: one sequential sampler RNG draws a block of points in
+// row order ("relabel.sample" span), then the metamodel labels the block's
+// unlabeled rows with one PredictBlock call ("relabel.label" span). Replaying
+// the RNG from the same derived seed on Reset() makes both build passes
+// (and any block size) see the identical row sequence -- and, because the
+// seed derivation and the sampler calls are exactly RedsRelabel's and
+// block inference is bit-identical to per-row inference, the stream is
+// bit-identical to the materialized new_data.
 //
 // Labeling is the expensive half of a pass (a metamodel prediction per row
 // vs. a handful of RNG draws), so the labels of pass 1 are cached in an
@@ -106,25 +107,38 @@ class RedsRelabelSource : public DatasetSource {
     if (take <= 0) return block;
     x_buf_.resize(static_cast<size_t>(take) * num_cols_);
     y_buf_.resize(static_cast<size_t>(take));
-    const std::vector<double>* known =
-        preset_ != nullptr ? preset_.get() : building_.get();
-    for (int r = 0; r < take; ++r) {
-      double* x = x_buf_.data() + static_cast<size_t>(r) * num_cols_;
-      sampler_(&rng_, num_cols_, x);
-      const int64_t row = cursor_ + r;
-      if (row < labeled_) {
-        y_buf_[static_cast<size_t>(r)] = (*known)[static_cast<size_t>(row)];
-        continue;
+    {
+      obs::Span span("relabel.sample");
+      for (int r = 0; r < take; ++r) {
+        sampler_(&rng_, num_cols_,
+                 x_buf_.data() + static_cast<size_t>(r) * num_cols_);
       }
+    }
+    // Rows before labeled_ carry known labels (preset, or cached by an
+    // earlier pass); the rest of the block is labeled in one call.
+    const int known =
+        static_cast<int>(std::clamp<int64_t>(labeled_ - cursor_, 0, take));
+    if (known > 0) {
+      const std::vector<double>& labels =
+          preset_ != nullptr ? *preset_ : *building_;
+      std::copy_n(labels.begin() + cursor_, known, y_buf_.begin());
+    }
+    if (known < take) {
       if (!labeled_this_pass_) {
         labeled_this_pass_ = true;
         obs::TraceInstant("relabel.label_pass");
       }
-      const double y = MetamodelLabel(*metamodel_, x, probability_labels_);
-      y_buf_[static_cast<size_t>(r)] = y;
+      obs::Span span("relabel.label");
+      MetamodelLabels(
+          *metamodel_,
+          la::ConstMatrixView(
+              x_buf_.data() + static_cast<size_t>(known) * num_cols_,
+              take - known, num_cols_),
+          probability_labels_, y_buf_.data() + known);
       if (building_ != nullptr) {
-        building_->push_back(y);
-        labeled_ = row + 1;
+        building_->insert(building_->end(), y_buf_.begin() + known,
+                          y_buf_.end());
+        labeled_ = cursor_ + take;
       }
     }
     cursor_ += take;
@@ -157,10 +171,11 @@ class RedsRelabelSource : public DatasetSource {
 
 }  // namespace
 
-double MetamodelLabel(const ml::Metamodel& model, const double* x,
-                      bool probability_labels) {
-  const double p = model.PredictProb(x);
-  return probability_labels ? p : (p > 0.5 ? 1.0 : 0.0);
+void MetamodelLabels(const ml::Metamodel& model, la::ConstMatrixView x,
+                     bool probability_labels, double* out) {
+  model.PredictBlock(x, out);
+  if (probability_labels) return;
+  for (int r = 0; r < x.rows(); ++r) out[r] = out[r] > 0.5 ? 1.0 : 0.0;
 }
 
 RedsRelabeling RedsRelabel(const Dataset& d, const RedsConfig& config,
@@ -179,7 +194,7 @@ RedsRelabeling RedsRelabel(const Dataset& d, const RedsConfig& config,
     sampler(&rng, m, x.data() + static_cast<size_t>(i) * m);
   }
   out.new_data =
-      LabelPoints(*out.metamodel, x, m, config.probability_labels);
+      LabelPoints(*out.metamodel, std::move(x), m, config.probability_labels);
   return out;
 }
 

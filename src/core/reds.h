@@ -84,12 +84,14 @@ RedsRelabeling RedsRelabelPoints(const Dataset& d,
                                  const std::vector<double>& unlabeled_x,
                                  const RedsConfig& config, uint64_t seed);
 
-/// The one place REDS label semantics live: probability labels ("p"
-/// variants) return f_am(x) in [0,1]; hard labels threshold at 0.5. Every
-/// relabeling path -- materialized, point-wise, and streamed -- labels
-/// through this helper, so the paths cannot drift apart.
-double MetamodelLabel(const ml::Metamodel& model, const double* x,
-                      bool probability_labels);
+/// The one place REDS label semantics live: labels every row of the block
+/// `x` into out[0, x.rows()) with one Metamodel::PredictBlock call.
+/// Probability labels ("p" variants) are f_am(x) in [0,1]; hard labels
+/// threshold it at 0.5. Every relabeling path -- materialized, point-wise,
+/// and streamed -- labels through this helper, so the paths cannot drift
+/// apart, and block inference makes the labels independent of block size.
+void MetamodelLabels(const ml::Metamodel& model, la::ConstMatrixView x,
+                     bool probability_labels, double* out);
 
 /// Streamed REDS relabeling: the metamodel is obtained exactly as in
 /// RedsRelabel (provider hook or inline fit, same seed derivation), but

@@ -1,10 +1,33 @@
 #include "exp/experiment.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/thread_pool.h"
 
 namespace reds::exp {
+
+uint64_t TrainingDataSeed(uint64_t seed, size_t function_index, int n,
+                          int rep) {
+  return DeriveSeed(seed, (function_index + 1) * 1000003ULL +
+                              static_cast<uint64_t>(n) * 131ULL +
+                              static_cast<uint64_t>(rep));
+}
+
+uint64_t TestDataSeed(uint64_t seed, size_t function_index) {
+  return DeriveSeed(seed, 0x7e57ULL ^ (function_index + 1));
+}
+
+Dataset MakeTestSet(const fun::TestFunction& f, int n, fun::DesignKind design,
+                    int max_train_rows, uint64_t seed) {
+  if (design != fun::DesignKind::kHalton) {
+    return fun::MakeScenarioDataset(f, n, design, seed);
+  }
+  return fun::LabelDesign(
+      f,
+      sampling::HaltonDesign(n, f.dim(), fun::kHaltonLeapEnd + max_train_rows),
+      seed);
+}
 
 double RelativeChangePercent(double value, double baseline) {
   if (baseline == 0.0) return 0.0;
@@ -87,13 +110,15 @@ void Runner::RunImpl() {
   }
   {
     ThreadPool pool(config_.threads);
+    const int max_train_rows =
+        *std::max_element(config_.sizes.begin(), config_.sizes.end());
     for (size_t fi = 0; fi < contexts.size(); ++fi) {
-      pool.Submit([this, &contexts, fi] {
+      pool.Submit([this, &contexts, fi, max_train_rows] {
         FunctionContext& ctx = contexts[fi];
-        // Test data: same input distribution, fresh labels.
-        ctx.test = std::make_shared<const Dataset>(fun::MakeScenarioDataset(
-            *ctx.function, config_.test_size, ctx.design,
-            DeriveSeed(config_.seed, 0x7e57ULL ^ (fi + 1))));
+        // Test data: same input distribution, fresh points and labels.
+        ctx.test = std::make_shared<const Dataset>(
+            MakeTestSet(*ctx.function, config_.test_size, ctx.design,
+                        max_train_rows, TestDataSeed(config_.seed, fi)));
       });
     }
     pool.Wait();
@@ -136,10 +161,8 @@ void Runner::RunImpl() {
           // the same datasets (paired comparisons), and the engine's
           // metamodel cache fits each (dataset, metamodel kind)
           // combination once.
-          const uint64_t data_seed = DeriveSeed(
-              config_.seed,
-              (fi + 1) * 1000003ULL + static_cast<uint64_t>(n) * 131ULL +
-                  static_cast<uint64_t>(rep));
+          const uint64_t data_seed =
+              TrainingDataSeed(config_.seed, fi, n, rep);
           engine::DiscoveryRequest request;
           request.make_train = [&ctx, n, data_seed] {
             return fun::MakeScenarioDataset(*ctx.function, n, ctx.design,

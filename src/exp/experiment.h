@@ -81,6 +81,22 @@ class Runner {
   bool ran_ = false;
 };
 
+/// Seed of the training set of (function index, N, repetition); every
+/// method of the matrix sees the dataset this seed generates.
+uint64_t TrainingDataSeed(uint64_t seed, size_t function_index, int n,
+                          int rep);
+
+/// Seed of a function's shared test set.
+uint64_t TestDataSeed(uint64_t seed, size_t function_index);
+
+/// The independent test set of a function: n fresh points of `design`,
+/// labeled by `f`, sharing no point with any training set of at most
+/// `max_train_rows` rows. Random designs share none by construction; a
+/// Halton test set starts past every stretch of the sequence a training
+/// design can use (fun::kHaltonLeapEnd + max_train_rows).
+Dataset MakeTestSet(const fun::TestFunction& f, int n, fun::DesignKind design,
+                    int max_train_rows, uint64_t seed);
+
 /// Relative change in percent, the paper's figure axis: 100 * (v - base) / base.
 double RelativeChangePercent(double value, double baseline);
 

@@ -17,7 +17,8 @@ std::vector<double> MakeDesign(DesignKind kind, int n, int dim, uint64_t seed) {
     case DesignKind::kHalton: {
       // Random leap start so repetitions see different stretches of the
       // sequence.
-      const int skip = 20 + static_cast<int>(rng.UniformInt(100000));
+      const int skip =
+          20 + static_cast<int>(rng.UniformInt(kHaltonLeapEnd - 20));
       return sampling::HaltonDesign(n, dim, skip);
     }
     case DesignKind::kUniform:

@@ -25,6 +25,12 @@ enum class DesignKind {
 /// otherwise.
 DesignKind DefaultDesignFor(const TestFunction& f);
 
+/// Halton designs start at a seeded random leap in [20, kHaltonLeapEnd) of
+/// the sequence, so repetitions see different stretches of it. A design
+/// of n points therefore only ever uses sequence indices below
+/// kHaltonLeapEnd + n.
+inline constexpr int kHaltonLeapEnd = 100020;
+
 /// n x dim row-major design of the requested kind.
 std::vector<double> MakeDesign(DesignKind kind, int n, int dim, uint64_t seed);
 

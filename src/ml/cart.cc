@@ -8,7 +8,6 @@
 #include <queue>
 
 #include "ml/order_partition.h"
-#include "ml/tree_wire.h"
 #include "util/thread_pool.h"
 
 namespace reds::ml {
@@ -54,11 +53,13 @@ struct RegressionTree::FitContext {
 void RegressionTree::Fit(const Dataset& d, const std::vector<int>& rows,
                          const TreeConfig& config, Rng* rng,
                          const ColumnIndex* index, const BinnedIndex* binned) {
-  nodes_.clear();
+  nodes_.Clear();
+  nodes_.BeginTree();
   assert(!rows.empty());
   if (config.backend == SplitBackend::kExact) {
     std::vector<int> work(rows);
     BuildReference(d, &work, 0, static_cast<int>(work.size()), 0, config, rng);
+    nodes_.FinishTree();
     return;
   }
 
@@ -123,6 +124,7 @@ void RegressionTree::Fit(const Dataset& d, const std::vector<int>& rows,
     } else {
       BuildHistogram(&ctx, 0, n, 0, {});
     }
+    nodes_.FinishTree();
     return;
   }
 
@@ -185,6 +187,7 @@ void RegressionTree::Fit(const Dataset& d, const std::vector<int>& rows,
     ctx.pool = std::make_unique<ThreadPool>(config.threads);
   }
   Build(&ctx, 0, n, 0);
+  nodes_.FinishTree();
 }
 
 void RegressionTree::Fit(const Dataset& d, const TreeConfig& config, Rng* rng,
@@ -206,9 +209,7 @@ int RegressionTree::Build(FitContext* ctx, int begin, int end, int depth) {
   }
   const double mean = sum / n;
 
-  const int node_index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<size_t>(node_index)].value = mean;
+  const int node_index = nodes_.AddNode(mean);
 
   const bool depth_ok = config.max_depth < 0 || depth < config.max_depth;
   const double sse = sum_sq - sum * sum / n;
@@ -288,10 +289,7 @@ int RegressionTree::Build(FitContext* ctx, int begin, int end, int depth) {
 
   const int left = Build(ctx, begin, mid, depth + 1);
   const int right = Build(ctx, mid, end, depth + 1);
-  nodes_[static_cast<size_t>(node_index)].feature = best.feature;
-  nodes_[static_cast<size_t>(node_index)].threshold = best.threshold;
-  nodes_[static_cast<size_t>(node_index)].left = left;
-  nodes_[static_cast<size_t>(node_index)].right = right;
+  nodes_.SetSplit(node_index, best.feature, best.threshold, left, right);
   return node_index;
 }
 
@@ -318,9 +316,7 @@ int RegressionTree::BuildHistogram(FitContext* ctx, int begin, int end,
   }
   const double mean = sum / n;
 
-  const int node_index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<size_t>(node_index)].value = mean;
+  const int node_index = nodes_.AddNode(mean);
 
   const bool depth_ok = config.max_depth < 0 || depth < config.max_depth;
   const double sse = sum_sq - sum * sum / n;
@@ -434,10 +430,7 @@ int RegressionTree::BuildHistogram(FitContext* ctx, int begin, int end,
     left = BuildHistogram(ctx, begin, mid, depth + 1, std::move(left_hist));
     right = BuildHistogram(ctx, mid, end, depth + 1, std::move(right_hist));
   }
-  nodes_[static_cast<size_t>(node_index)].feature = best.feature;
-  nodes_[static_cast<size_t>(node_index)].threshold = best.threshold;
-  nodes_[static_cast<size_t>(node_index)].left = left;
-  nodes_[static_cast<size_t>(node_index)].right = right;
+  nodes_.SetSplit(node_index, best.feature, best.threshold, left, right);
   return node_index;
 }
 
@@ -517,9 +510,7 @@ int RegressionTree::BuildHistogramLeafWise(FitContext* ctx, int begin,
       sum += y;
       sum_sq += y * y;
     }
-    const int node_index = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_[static_cast<size_t>(node_index)].value = sum / n;
+    const int node_index = nodes_.AddNode(sum / n);
 
     const bool depth_ok = config.max_depth < 0 || depth < config.max_depth;
     const double sse = sum_sq - sum * sum / n;
@@ -616,10 +607,8 @@ int RegressionTree::BuildHistogramLeafWise(FitContext* ctx, int begin,
       right_node =
           make_node(mid, leaf.end, leaf.depth + 1, std::move(right_hist));
     }
-    nodes_[static_cast<size_t>(leaf.node)].feature = leaf.best.feature;
-    nodes_[static_cast<size_t>(leaf.node)].threshold = leaf.best.threshold;
-    nodes_[static_cast<size_t>(leaf.node)].left = left_node;
-    nodes_[static_cast<size_t>(leaf.node)].right = right_node;
+    nodes_.SetSplit(leaf.node, leaf.best.feature, leaf.best.threshold,
+                    left_node, right_node);
     ++num_leaves;
   }
   while (!queue.empty()) {
@@ -644,9 +633,7 @@ int RegressionTree::BuildReference(const Dataset& d, std::vector<int>* rows,
   }
   const double mean = sum / n;
 
-  const int node_index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<size_t>(node_index)].value = mean;
+  const int node_index = nodes_.AddNode(mean);
 
   const bool depth_ok = config.max_depth < 0 || depth < config.max_depth;
   const double sse = sum_sq - sum * sum / n;
@@ -714,45 +701,31 @@ int RegressionTree::BuildReference(const Dataset& d, std::vector<int>* rows,
 
   const int left = BuildReference(d, rows, begin, mid, depth + 1, config, rng);
   const int right = BuildReference(d, rows, mid, end, depth + 1, config, rng);
-  nodes_[static_cast<size_t>(node_index)].feature = best.feature;
-  nodes_[static_cast<size_t>(node_index)].threshold = best.threshold;
-  nodes_[static_cast<size_t>(node_index)].left = left;
-  nodes_[static_cast<size_t>(node_index)].right = right;
+  nodes_.SetSplit(node_index, best.feature, best.threshold, left, right);
   return node_index;
 }
 
 double RegressionTree::Predict(const double* x) const {
   assert(fitted());
-  int node = 0;
-  while (nodes_[static_cast<size_t>(node)].feature >= 0) {
-    const Node& nd = nodes_[static_cast<size_t>(node)];
-    node = x[nd.feature] <= nd.threshold ? nd.left : nd.right;
-  }
-  return nodes_[static_cast<size_t>(node)].value;
+  double value = 0.0;
+  nodes_.AccumulateLeaves(0, 1, x, 1, 0, &value);
+  return value;
 }
 
 int RegressionTree::num_leaves() const {
-  int count = 0;
-  for (const Node& nd : nodes_) count += nd.feature < 0 ? 1 : 0;
-  return count;
+  return fitted() ? nodes_.num_leaves(0) : 0;
 }
 
-int RegressionTree::DepthOf(int node) const {
-  const Node& nd = nodes_[static_cast<size_t>(node)];
-  if (nd.feature < 0) return 0;
-  return 1 + std::max(DepthOf(nd.left), DepthOf(nd.right));
-}
-
-int RegressionTree::depth() const { return nodes_.empty() ? 0 : DepthOf(0); }
+int RegressionTree::depth() const { return fitted() ? nodes_.depth(0) : 0; }
 
 void RegressionTree::SerializeTo(util::ByteWriter* out) const {
-  SerializeTreeNodes(nodes_, &Node::value, out);
+  nodes_.SerializeTree(0, out);
 }
 
 Status RegressionTree::DeserializeFrom(util::ByteReader* in,
                                        int num_features) {
-  return DeserializeTreeNodes(in, num_features, "tree", &Node::value,
-                              &nodes_);
+  nodes_.Clear();
+  return nodes_.DeserializeTree(in, num_features, "tree");
 }
 
 }  // namespace reds::ml

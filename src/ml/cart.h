@@ -18,6 +18,7 @@
 #include "core/binned_index.h"
 #include "core/column_index.h"
 #include "core/dataset.h"
+#include "ml/flat_trees.h"
 #include "ml/histogram.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -46,7 +47,7 @@ struct TreeConfig {
   int max_leaves = 0;        // leaf-wise cap; 0 = unlimited
 };
 
-/// A fitted regression tree. Nodes are stored in a flat array.
+/// A fitted regression tree, stored as one tree of flat node arrays.
 class RegressionTree {
  public:
   /// Fits the tree on the given rows of d (duplicates allowed, enabling
@@ -69,10 +70,14 @@ class RegressionTree {
   /// Mean target of the leaf containing x.
   double Predict(const double* x) const;
 
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int num_nodes() const { return nodes_.num_nodes(); }
   int num_leaves() const;
   int depth() const;
   bool fitted() const { return !nodes_.empty(); }
+
+  /// The fitted tree's flat node arrays (one tree), e.g. for a forest to
+  /// append into its ensemble storage.
+  const FlatTrees& nodes() const { return nodes_; }
 
   /// Appends the fitted tree (flat node array) to `out` in the stable
   /// little-endian cache layout.
@@ -86,14 +91,6 @@ class RegressionTree {
   Status DeserializeFrom(util::ByteReader* in, int num_features);
 
  private:
-  struct Node {
-    int feature = -1;        // -1: leaf
-    double threshold = 0.0;  // go left iff x[feature] <= threshold
-    int left = -1;
-    int right = -1;
-    double value = 0.0;      // leaf prediction (mean target)
-  };
-
   struct FitContext;
 
   int Build(FitContext* ctx, int begin, int end, int depth);
@@ -102,9 +99,8 @@ class RegressionTree {
   int BuildHistogramLeafWise(FitContext* ctx, int begin, int end);
   int BuildReference(const Dataset& d, std::vector<int>* rows, int begin,
                      int end, int depth, const TreeConfig& config, Rng* rng);
-  int DepthOf(int node) const;
 
-  std::vector<Node> nodes_;
+  FlatTrees nodes_;
 };
 
 }  // namespace reds::ml

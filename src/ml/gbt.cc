@@ -8,7 +8,6 @@
 #include <queue>
 
 #include "ml/order_partition.h"
-#include "ml/tree_wire.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
@@ -57,22 +56,13 @@ struct GradientBoostedTrees::RoundContext {
   int max_leaves = 0;          // leaf-wise growth only; 0 = unlimited
 };
 
-double GradientBoostedTrees::Tree::Predict(const double* x) const {
-  int node = 0;
-  while (nodes[static_cast<size_t>(node)].feature >= 0) {
-    const Node& nd = nodes[static_cast<size_t>(node)];
-    node = x[nd.feature] <= nd.threshold ? nd.left : nd.right;
-  }
-  return nodes[static_cast<size_t>(node)].weight;
-}
-
 int GradientBoostedTrees::BuildNode(const Dataset& d,
                                     const std::vector<double>& grad,
                                     const std::vector<double>& hess,
                                     std::vector<int>* rows, int begin, int end,
                                     int depth,
                                     const std::vector<int>& features,
-                                    Tree* tree) const {
+                                    FlatTrees* tree) const {
   double g_sum = 0.0, h_sum = 0.0;
   for (int i = begin; i < end; ++i) {
     const int r = (*rows)[static_cast<size_t>(i)];
@@ -80,10 +70,8 @@ int GradientBoostedTrees::BuildNode(const Dataset& d,
     h_sum += hess[static_cast<size_t>(r)];
   }
 
-  const int node_index = static_cast<int>(tree->nodes.size());
-  tree->nodes.emplace_back();
-  tree->nodes[static_cast<size_t>(node_index)].weight =
-      -config_.eta * g_sum / (h_sum + config_.lambda);
+  const int node_index =
+      tree->AddNode(-config_.eta * g_sum / (h_sum + config_.lambda));
 
   if (depth >= config_.max_depth || end - begin < 2) return node_index;
 
@@ -136,11 +124,7 @@ int GradientBoostedTrees::BuildNode(const Dataset& d,
       BuildNode(d, grad, hess, rows, begin, mid, depth + 1, features, tree);
   const int right =
       BuildNode(d, grad, hess, rows, mid, end, depth + 1, features, tree);
-  Node& nd = tree->nodes[static_cast<size_t>(node_index)];
-  nd.feature = best_feature;
-  nd.threshold = best_threshold;
-  nd.left = left;
-  nd.right = right;
+  tree->SetSplit(node_index, best_feature, best_threshold, left, right);
   return node_index;
 }
 
@@ -153,7 +137,7 @@ int GradientBoostedTrees::BuildNode(const Dataset& d,
 int GradientBoostedTrees::BuildNodeHistogram(RoundContext* ctx, int begin,
                                              int end, int depth,
                                              std::vector<HistBin> hist,
-                                             Tree* tree) const {
+                                             FlatTrees* tree) const {
   const std::vector<double>& grad = *ctx->grad;
   const std::vector<double>& hess = *ctx->hess;
   double g_sum = 0.0, h_sum = 0.0;
@@ -163,10 +147,8 @@ int GradientBoostedTrees::BuildNodeHistogram(RoundContext* ctx, int begin,
     h_sum += hess[static_cast<size_t>(r)];
   }
 
-  const int node_index = static_cast<int>(tree->nodes.size());
-  tree->nodes.emplace_back();
-  tree->nodes[static_cast<size_t>(node_index)].weight =
-      -ctx->eta * g_sum / (h_sum + ctx->lambda);
+  const int node_index =
+      tree->AddNode(-ctx->eta * g_sum / (h_sum + ctx->lambda));
 
   if (depth >= ctx->max_depth || end - begin < 2) {
     if (!hist.empty()) ctx->hist_pool->Release(std::move(hist));
@@ -284,11 +266,7 @@ int GradientBoostedTrees::BuildNodeHistogram(RoundContext* ctx, int begin,
       BuildNodeHistogram(ctx, begin, mid, depth + 1, std::move(left_hist), tree);
   const int right =
       BuildNodeHistogram(ctx, mid, end, depth + 1, std::move(right_hist), tree);
-  Node& nd = tree->nodes[static_cast<size_t>(node_index)];
-  nd.feature = best.feature;
-  nd.threshold = best.threshold;
-  nd.left = left;
-  nd.right = right;
+  tree->SetSplit(node_index, best.feature, best.threshold, left, right);
   return node_index;
 }
 
@@ -301,9 +279,9 @@ int GradientBoostedTrees::BuildNodeHistogram(RoundContext* ctx, int begin,
 // sums, candidate scans, and partitions to the depth-wise recursion; with
 // no cap and untied gains the fitted function is therefore identical, only
 // the node-array order differs (children still always follow their parent,
-// preserving the tree_wire strictly-forward invariant).
+// preserving the flat_trees strictly-forward invariant).
 int GradientBoostedTrees::BuildLeafWise(RoundContext* ctx, int begin, int end,
-                                        Tree* tree) const {
+                                        FlatTrees* tree) const {
   const std::vector<double>& grad = *ctx->grad;
   const std::vector<double>& hess = *ctx->hess;
   const std::vector<int>& features = *ctx->features;
@@ -395,10 +373,8 @@ int GradientBoostedTrees::BuildLeafWise(RoundContext* ctx, int begin, int end,
                        std::vector<HistBin> hist) -> int {
     double g_sum = 0.0, h_sum = 0.0;
     node_sums(b, e, &g_sum, &h_sum);
-    const int node_index = static_cast<int>(tree->nodes.size());
-    tree->nodes.emplace_back();
-    tree->nodes[static_cast<size_t>(node_index)].weight =
-        -ctx->eta * g_sum / (h_sum + ctx->lambda);
+    const int node_index =
+      tree->AddNode(-ctx->eta * g_sum / (h_sum + ctx->lambda));
     if (depth >= ctx->max_depth || e - b < 2) {
       if (!hist.empty()) ctx->hist_pool->Release(std::move(hist));
       return node_index;
@@ -471,11 +447,8 @@ int GradientBoostedTrees::BuildLeafWise(RoundContext* ctx, int begin, int end,
         make_node(leaf.begin, mid, leaf.depth + 1, std::move(left_hist));
     const int right_node =
         make_node(mid, leaf.end, leaf.depth + 1, std::move(right_hist));
-    Node& nd = tree->nodes[static_cast<size_t>(leaf.node)];
-    nd.feature = leaf.best.feature;
-    nd.threshold = leaf.best.threshold;
-    nd.left = left_node;
-    nd.right = right_node;
+    tree->SetSplit(leaf.node, leaf.best.feature, leaf.best.threshold,
+                   left_node, right_node);
     ++num_leaves;
   }
   // Leaves still queued when the cap fires keep their histograms; drain
@@ -492,7 +465,7 @@ int GradientBoostedTrees::BuildLeafWise(RoundContext* ctx, int begin, int end,
 
 int GradientBoostedTrees::BuildNodeSorted(RoundContext* ctx, int begin,
                                           int end, int depth,
-                                          Tree* tree) const {
+                                          FlatTrees* tree) const {
   const std::vector<double>& grad = *ctx->grad;
   const std::vector<double>& hess = *ctx->hess;
   double g_sum = 0.0, h_sum = 0.0;
@@ -502,10 +475,8 @@ int GradientBoostedTrees::BuildNodeSorted(RoundContext* ctx, int begin,
     h_sum += hess[static_cast<size_t>(r)];
   }
 
-  const int node_index = static_cast<int>(tree->nodes.size());
-  tree->nodes.emplace_back();
-  tree->nodes[static_cast<size_t>(node_index)].weight =
-      -ctx->eta * g_sum / (h_sum + ctx->lambda);
+  const int node_index =
+      tree->AddNode(-ctx->eta * g_sum / (h_sum + ctx->lambda));
 
   if (depth >= ctx->max_depth || end - begin < 2) return node_index;
 
@@ -579,11 +550,7 @@ int GradientBoostedTrees::BuildNodeSorted(RoundContext* ctx, int begin,
 
   const int left = BuildNodeSorted(ctx, begin, mid, depth + 1, tree);
   const int right = BuildNodeSorted(ctx, mid, end, depth + 1, tree);
-  Node& nd = tree->nodes[static_cast<size_t>(node_index)];
-  nd.feature = best.feature;
-  nd.threshold = best.threshold;
-  nd.left = left;
-  nd.right = right;
+  tree->SetSplit(node_index, best.feature, best.threshold, left, right);
   return node_index;
 }
 
@@ -639,8 +606,7 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
   std::vector<double> margin(static_cast<size_t>(n_fit), base_margin_);
   std::vector<double> grad(static_cast<size_t>(n));
   std::vector<double> hess(static_cast<size_t>(n));
-  trees_.clear();
-  trees_.reserve(static_cast<size_t>(config_.num_rounds));
+  trees_.Clear();
 
   // Both indexed backends need the column-major values (split search or
   // partition); the histogram backend additionally needs the quantization.
@@ -711,10 +677,11 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
       std::iota(features.begin(), features.end(), 0);
     }
 
-    Tree tree;
+    FlatTrees* tree = &trees_;
+    tree->BeginTree();
     if (config_.backend == SplitBackend::kExact) {
       BuildNode(d, grad, hess, &rows, 0, static_cast<int>(rows.size()), 0,
-                features, &tree);
+                features, tree);
     } else {
       RoundContext ctx;
       ctx.index = index;
@@ -739,9 +706,9 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
         ctx.rows = std::move(rows);
         ctx.goes_left.resize(static_cast<size_t>(n));
         if (config_.growth == GrowthPolicy::kLeafWise) {
-          BuildLeafWise(&ctx, 0, in_round, &tree);
+          BuildLeafWise(&ctx, 0, in_round, tree);
         } else {
-          BuildNodeHistogram(&ctx, 0, in_round, 0, {}, &tree);
+          BuildNodeHistogram(&ctx, 0, in_round, 0, {}, tree);
         }
       } else {
         ctx.order.resize(features.size());
@@ -763,33 +730,39 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
         ctx.rows = std::move(rows);
         ctx.goes_left.resize(static_cast<size_t>(n));
         ctx.scratch.resize(static_cast<size_t>(in_round));
-        BuildNodeSorted(&ctx, 0, in_round, 0, &tree);
+        BuildNodeSorted(&ctx, 0, in_round, 0, tree);
       }
     }
+    tree->FinishTree();
+    const int t = tree->num_trees() - 1;
     for (int i = 0; i < n_fit; ++i) {
-      margin[static_cast<size_t>(i)] += tree.Predict(d.row(fit_row(i)));
+      tree->AccumulateLeaves(t, t + 1, d.row(fit_row(i)), 1, 0,
+                             &margin[static_cast<size_t>(i)]);
     }
-    trees_.push_back(std::move(tree));
   }
+  trees_.ShrinkToFit();
 }
 
 double GradientBoostedTrees::PredictMargin(const double* x) const {
   double m = base_margin_;
-  for (const auto& tree : trees_) m += tree.Predict(x);
+  trees_.AccumulateLeaves(0, trees_.num_trees(), x, 1, 0, &m);
   return m;
 }
 
-double GradientBoostedTrees::PredictProb(const double* x) const {
-  return Sigmoid(PredictMargin(x));
+void GradientBoostedTrees::PredictBlock(la::ConstMatrixView x,
+                                        double* out) const {
+  assert(x.cols() == num_features_);
+  std::fill(out, out + x.rows(), base_margin_);
+  trees_.AccumulateLeaves(0, trees_.num_trees(), x.data(), x.rows(),
+                          x.cols(), out);
+  for (int r = 0; r < x.rows(); ++r) out[r] = Sigmoid(out[r]);
 }
 
 void GradientBoostedTrees::SerializeTo(util::ByteWriter* out) const {
   out->I32(num_features_);
   out->F64(base_margin_);
-  out->U64(trees_.size());
-  for (const Tree& tree : trees_) {
-    SerializeTreeNodes(tree.nodes, &Node::weight, out);
-  }
+  out->U64(static_cast<uint64_t>(trees_.num_trees()));
+  for (int t = 0; t < trees_.num_trees(); ++t) trees_.SerializeTree(t, out);
 }
 
 Status GradientBoostedTrees::DeserializeFrom(util::ByteReader* in) {
@@ -799,15 +772,12 @@ Status GradientBoostedTrees::DeserializeFrom(util::ByteReader* in) {
   if (!in->ok() || num_features_ <= 0 || num_trees > in->remaining() / 8) {
     return Status::InvalidArgument("corrupt GBT: header");
   }
-  trees_.clear();
-  trees_.reserve(static_cast<size_t>(num_trees));
+  trees_.Clear();
   for (uint64_t t = 0; t < num_trees; ++t) {
-    Tree tree;
-    const Status s = DeserializeTreeNodes(in, num_features_, "GBT",
-                                          &Node::weight, &tree.nodes);
+    const Status s = trees_.DeserializeTree(in, num_features_, "GBT");
     if (!s.ok()) return s;
-    trees_.push_back(std::move(tree));
   }
+  trees_.ShrinkToFit();
   if (!in->ok()) return Status::InvalidArgument("corrupt GBT: truncated");
   return Status::OK();
 }

@@ -16,6 +16,7 @@
 
 #include "core/binned_index.h"
 #include "core/column_index.h"
+#include "ml/flat_trees.h"
 #include "ml/histogram.h"
 #include "ml/model.h"
 #include "util/rng.h"
@@ -70,13 +71,13 @@ class GradientBoostedTrees : public Metamodel {
                  uint64_t seed, const ColumnIndex* index,
                  const BinnedIndex* binned) override;
 
-  double PredictProb(const double* x) const override;
+  void PredictBlock(la::ConstMatrixView x, double* out) const override;
   int num_features() const override { return num_features_; }
 
   /// Raw additive score before the sigmoid (log-odds scale).
   double PredictMargin(const double* x) const;
 
-  int num_trees() const { return static_cast<int>(trees_.size()); }
+  int num_trees() const { return trees_.num_trees(); }
   const GbtConfig& config() const { return config_; }
 
   /// Appends the fitted ensemble (base margin + flat tree arrays) to `out`
@@ -88,34 +89,24 @@ class GradientBoostedTrees : public Metamodel {
   Status DeserializeFrom(util::ByteReader* in);
 
  private:
-  struct Node {
-    int feature = -1;        // -1: leaf
-    double threshold = 0.0;  // go left iff x[feature] <= threshold
-    int left = -1;
-    int right = -1;
-    double weight = 0.0;     // leaf output (already eta-scaled)
-  };
-  struct Tree {
-    std::vector<Node> nodes;
-    double Predict(const double* x) const;
-  };
   struct RoundContext;
 
   int BuildNode(const Dataset& d, const std::vector<double>& grad,
                 const std::vector<double>& hess, std::vector<int>* rows,
                 int begin, int end, int depth,
-                const std::vector<int>& features, Tree* tree) const;
+                const std::vector<int>& features, FlatTrees* tree) const;
   int BuildNodeSorted(RoundContext* ctx, int begin, int end, int depth,
-                      Tree* tree) const;
+                      FlatTrees* tree) const;
   int BuildNodeHistogram(RoundContext* ctx, int begin, int end, int depth,
-                         std::vector<HistBin> hist, Tree* tree) const;
-  int BuildLeafWise(RoundContext* ctx, int begin, int end, Tree* tree) const;
+                         std::vector<HistBin> hist, FlatTrees* tree) const;
+  int BuildLeafWise(RoundContext* ctx, int begin, int end,
+                    FlatTrees* tree) const;
   void FitImpl(const Dataset& d, const std::vector<int>* fit_rows,
                uint64_t seed, const ColumnIndex* index,
                const BinnedIndex* binned);
 
   GbtConfig config_;
-  std::vector<Tree> trees_;
+  FlatTrees trees_;
   double base_margin_ = 0.0;
   int num_features_ = 0;
 };

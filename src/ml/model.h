@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "la/matrix.h"
 
 namespace reds {
 class ColumnIndex;
@@ -65,9 +66,19 @@ class Metamodel {
     Fit(d.SubsetRows(rows), seed);
   }
 
-  /// Estimated P(y = 1 | x); always in [0, 1]. `x` holds num_features()
-  /// doubles.
-  virtual double PredictProb(const double* x) const = 0;
+  /// Estimated P(y = 1 | x) for every row of the row-major block `x`
+  /// (x.cols() == num_features()), written to out[0, x.rows()); always in
+  /// [0, 1]. This is each family's only inference kernel: row r's result
+  /// does not depend on the block it arrives in, so labeling L points in
+  /// blocks of any size is bit-identical to labeling them one at a time.
+  virtual void PredictBlock(la::ConstMatrixView x, double* out) const = 0;
+
+  /// The one-row case of PredictBlock. `x` holds num_features() doubles.
+  double PredictProb(const double* x) const {
+    double p = 0.0;
+    PredictBlock(la::ConstMatrixView(x, 1, num_features()), &p);
+    return p;
+  }
 
   /// Number of input features the model was fit on.
   virtual int num_features() const = 0;

@@ -68,7 +68,7 @@ void RandomForest::Fit(const Dataset& d, uint64_t seed,
   const int bag_size = std::max(
       1, static_cast<int>(std::lround(config_.sample_fraction * d.num_rows())));
 
-  trees_.assign(static_cast<size_t>(config_.num_trees), RegressionTree());
+  std::vector<RegressionTree> trees(static_cast<size_t>(config_.num_trees));
   in_bag_counts_.assign(static_cast<size_t>(config_.num_trees),
                         std::vector<int>(static_cast<size_t>(d.num_rows()), 0));
   auto fit_tree = [&](int t) {
@@ -78,8 +78,8 @@ void RandomForest::Fit(const Dataset& d, uint64_t seed,
       r = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(d.num_rows())));
       in_bag_counts_[static_cast<size_t>(t)][static_cast<size_t>(r)]++;
     }
-    trees_[static_cast<size_t>(t)].Fit(d, rows, tree_config, &rng, index,
-                                       binned);
+    trees[static_cast<size_t>(t)].Fit(d, rows, tree_config, &rng, index,
+                                      binned);
   };
   if (config_.fit_threads > 1) {
     // Trees are seeded independently, so the parallel fit is deterministic
@@ -88,6 +88,15 @@ void RandomForest::Fit(const Dataset& d, uint64_t seed,
   } else {
     for (int t = 0; t < config_.num_trees; ++t) fit_tree(t);
   }
+  Flatten(trees);
+}
+
+void RandomForest::Flatten(const std::vector<RegressionTree>& trees) {
+  int nodes = 0;
+  for (const RegressionTree& tree : trees) nodes += tree.num_nodes();
+  forest_.Clear();
+  forest_.Reserve(static_cast<int>(trees.size()), nodes);
+  for (const RegressionTree& tree : trees) forest_.Append(tree.nodes());
 }
 
 void RandomForest::FitOnRows(const Dataset& d, const std::vector<int>& rows,
@@ -115,7 +124,7 @@ void RandomForest::FitOnRows(const Dataset& d, const std::vector<int>& rows,
   const int bag_size = std::max(
       1, static_cast<int>(std::lround(config_.sample_fraction * n_fit)));
 
-  trees_.assign(static_cast<size_t>(config_.num_trees), RegressionTree());
+  std::vector<RegressionTree> trees(static_cast<size_t>(config_.num_trees));
   // Bag counts are recorded at full-data row ids so OobStateMatches pairs
   // the fitted model with `d`; out-of-fold rows read as never-in-bag.
   in_bag_counts_.assign(static_cast<size_t>(config_.num_trees),
@@ -127,23 +136,25 @@ void RandomForest::FitOnRows(const Dataset& d, const std::vector<int>& rows,
       r = rows[rng.UniformInt(static_cast<uint64_t>(n_fit))];
       in_bag_counts_[static_cast<size_t>(t)][static_cast<size_t>(r)]++;
     }
-    trees_[static_cast<size_t>(t)].Fit(d, bag, tree_config, &rng, index,
-                                       binned);
+    trees[static_cast<size_t>(t)].Fit(d, bag, tree_config, &rng, index,
+                                      binned);
   };
   if (config_.fit_threads > 1) {
     ParallelFor(0, config_.num_trees, fit_tree, config_.fit_threads);
   } else {
     for (int t = 0; t < config_.num_trees; ++t) fit_tree(t);
   }
+  Flatten(trees);
 }
 
 bool RandomForest::OobStateMatches(const Dataset& d) const {
-  return in_bag_counts_.size() == trees_.size() && !in_bag_counts_.empty() &&
+  return in_bag_counts_.size() == static_cast<size_t>(forest_.num_trees()) &&
+         !in_bag_counts_.empty() &&
          in_bag_counts_.front().size() == static_cast<size_t>(d.num_rows());
 }
 
 std::vector<double> RandomForest::OobPredictions(const Dataset& d) const {
-  assert(!trees_.empty());
+  assert(!forest_.empty());
   // Hard check (not just an assert): `d` must be the training dataset the
   // bag counts were recorded for. On mismatch -- wrong dataset, or a
   // cache-loaded model paired with other data -- fall back to full-forest
@@ -157,10 +168,12 @@ std::vector<double> RandomForest::OobPredictions(const Dataset& d) const {
   }
   std::vector<double> sum(static_cast<size_t>(d.num_rows()), 0.0);
   std::vector<int> votes(static_cast<size_t>(d.num_rows()), 0);
-  for (size_t t = 0; t < trees_.size(); ++t) {
+  for (int t = 0; t < forest_.num_trees(); ++t) {
+    const std::vector<int>& bag = in_bag_counts_[static_cast<size_t>(t)];
     for (int i = 0; i < d.num_rows(); ++i) {
-      if (in_bag_counts_[t][static_cast<size_t>(i)] == 0) {
-        sum[static_cast<size_t>(i)] += trees_[t].Predict(d.row(i));
+      if (bag[static_cast<size_t>(i)] == 0) {
+        forest_.AccumulateLeaves(t, t + 1, d.row(i), 1, 0,
+                                 &sum[static_cast<size_t>(i)]);
         votes[static_cast<size_t>(i)]++;
       }
     }
@@ -209,12 +222,14 @@ std::vector<double> RandomForest::PermutationImportance(const Dataset& d,
     // OOB error with the permuted column.
     std::vector<double> sum(static_cast<size_t>(d.num_rows()), 0.0);
     std::vector<int> votes(static_cast<size_t>(d.num_rows()), 0);
-    for (size_t t = 0; t < trees_.size(); ++t) {
+    for (int t = 0; t < forest_.num_trees(); ++t) {
+      const std::vector<int>& bag = in_bag_counts_[static_cast<size_t>(t)];
       for (int i = 0; i < d.num_rows(); ++i) {
-        if (in_bag_counts_[t][static_cast<size_t>(i)] != 0) continue;
+        if (bag[static_cast<size_t>(i)] != 0) continue;
         for (int c = 0; c < d.num_cols(); ++c) row[static_cast<size_t>(c)] = d.x(i, c);
         row[static_cast<size_t>(j)] = column[static_cast<size_t>(i)];
-        sum[static_cast<size_t>(i)] += trees_[t].Predict(row.data());
+        forest_.AccumulateLeaves(t, t + 1, row.data(), 1, 0,
+                                 &sum[static_cast<size_t>(i)]);
         votes[static_cast<size_t>(i)]++;
       }
     }
@@ -232,18 +247,21 @@ std::vector<double> RandomForest::PermutationImportance(const Dataset& d,
   return importance;
 }
 
-double RandomForest::PredictProb(const double* x) const {
-  assert(!trees_.empty());
-  double sum = 0.0;
-  for (const auto& tree : trees_) sum += tree.Predict(x);
-  const double p = sum / static_cast<double>(trees_.size());
-  return std::clamp(p, 0.0, 1.0);
+void RandomForest::PredictBlock(la::ConstMatrixView x, double* out) const {
+  assert(!forest_.empty() && x.cols() == num_features_);
+  std::fill(out, out + x.rows(), 0.0);
+  forest_.AccumulateLeaves(0, forest_.num_trees(), x.data(), x.rows(),
+                           x.cols(), out);
+  const double num_trees = static_cast<double>(forest_.num_trees());
+  for (int r = 0; r < x.rows(); ++r) {
+    out[r] = std::clamp(out[r] / num_trees, 0.0, 1.0);
+  }
 }
 
 void RandomForest::SerializeTo(util::ByteWriter* out) const {
   out->I32(num_features_);
-  out->U64(trees_.size());
-  for (const RegressionTree& tree : trees_) tree.SerializeTo(out);
+  out->U64(static_cast<uint64_t>(forest_.num_trees()));
+  for (int t = 0; t < forest_.num_trees(); ++t) forest_.SerializeTree(t, out);
   out->U64(in_bag_counts_.size());
   for (const std::vector<int>& counts : in_bag_counts_) out->VecI32(counts);
 }
@@ -257,11 +275,12 @@ Status RandomForest::DeserializeFrom(util::ByteReader* in) {
       num_trees > in->remaining() / 8) {
     return Status::InvalidArgument("corrupt forest: header");
   }
-  trees_.assign(static_cast<size_t>(num_trees), RegressionTree());
-  for (RegressionTree& tree : trees_) {
-    const Status s = tree.DeserializeFrom(in, num_features_);
+  forest_.Clear();
+  for (uint64_t t = 0; t < num_trees; ++t) {
+    const Status s = forest_.DeserializeTree(in, num_features_, "tree");
     if (!s.ok()) return s;
   }
+  forest_.ShrinkToFit();
   const uint64_t num_bags = in->U64();
   if (!in->ok() || num_bags != num_trees) {
     return Status::InvalidArgument("corrupt forest: bag counts");

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ml/cart.h"
+#include "ml/flat_trees.h"
 #include "ml/model.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -52,10 +53,10 @@ class RandomForest : public Metamodel {
                  uint64_t seed, const ColumnIndex* index,
                  const BinnedIndex* binned) override;
 
-  double PredictProb(const double* x) const override;
+  void PredictBlock(la::ConstMatrixView x, double* out) const override;
   int num_features() const override { return num_features_; }
 
-  int num_trees() const { return static_cast<int>(trees_.size()); }
+  int num_trees() const { return forest_.num_trees(); }
   const RandomForestConfig& config() const { return config_; }
 
   /// Out-of-bag probability estimates for the training rows: row i is
@@ -94,8 +95,11 @@ class RandomForest : public Metamodel {
   /// `num_cols` features (mtry default = floor(sqrt(M))).
   TreeConfig MakeTreeConfig(int num_cols) const;
 
+  /// Replaces the ensemble storage with the freshly fitted trees, in order.
+  void Flatten(const std::vector<RegressionTree>& trees);
+
   RandomForestConfig config_;
-  std::vector<RegressionTree> trees_;
+  FlatTrees forest_;  // every tree's nodes, end to end
   std::vector<std::vector<int>> in_bag_counts_;  // per tree, per training row
   int num_features_ = 0;
 };

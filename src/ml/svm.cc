@@ -39,10 +39,6 @@ double MedianHeuristicGamma(const Dataset& d, Rng* rng) {
 
 }  // namespace
 
-double SvmRbf::Kernel(const double* a, const double* b) const {
-  return std::exp(-gamma_ * SquaredDistance(a, b, num_features_));
-}
-
 void SvmRbf::Fit(const Dataset& d, uint64_t seed) {
   const int n = d.num_rows();
   assert(n > 0);
@@ -139,36 +135,100 @@ void SvmRbf::Fit(const Dataset& d, uint64_t seed) {
   }
 
   // Keep only the support vectors.
-  sv_x_.clear();
+  std::vector<int> support;
   sv_coef_.clear();
   for (int i = 0; i < n; ++i) {
     if (alpha[static_cast<size_t>(i)] > 1e-12) {
-      sv_x_.emplace_back(d.row(i), d.row(i) + num_features_);
+      support.push_back(i);
       sv_coef_.push_back(alpha[static_cast<size_t>(i)] * y[static_cast<size_t>(i)]);
+    }
+  }
+  sv_t_.resize(support.size() * static_cast<size_t>(num_features_));
+  for (size_t i = 0; i < support.size(); ++i) {
+    for (int j = 0; j < num_features_; ++j) {
+      sv_t_[static_cast<size_t>(j) * support.size() + i] = d.x(support[i], j);
     }
   }
   bias_ = b;
 }
 
-double SvmRbf::Decision(const double* x) const {
-  double s = bias_;
-  for (size_t i = 0; i < sv_x_.size(); ++i) {
-    s += sv_coef_[i] * Kernel(sv_x_[i].data(), x);
+// Block decision values, row by row. Support vectors are stored feature-
+// major, so one row's squared distances to all of them accumulate across
+// support vectors in vector lanes, feature by feature. Every (row, support
+// vector) distance still sums its coordinates in feature order, and the
+// row's decision adds the kernel terms in support-vector order with one
+// std::exp each -- the arithmetic of the textbook per-row evaluation, so
+// results are bit-identical to it for any block size.
+void SvmRbf::DecisionBlock(la::ConstMatrixView x, double* out) const {
+  assert(x.cols() == num_features_);
+  const size_t num_sv = sv_coef_.size();
+  std::vector<double> dist(num_sv);
+  for (int r = 0; r < x.rows(); ++r) {
+    const double* row = x.row(r);
+    std::fill(dist.begin(), dist.end(), 0.0);
+    // Four features per sweep over the support vectors: each distance is
+    // loaded and stored once per four additions, still made in order.
+    int j = 0;
+    for (; j + 4 <= num_features_; j += 4) {
+      const double x0 = row[j], x1 = row[j + 1], x2 = row[j + 2],
+                   x3 = row[j + 3];
+      const double* c0 = sv_t_.data() + static_cast<size_t>(j) * num_sv;
+      const double* c1 = c0 + num_sv;
+      const double* c2 = c1 + num_sv;
+      const double* c3 = c2 + num_sv;
+      for (size_t i = 0; i < num_sv; ++i) {
+        const double d0 = c0[i] - x0, d1 = c1[i] - x1, d2 = c2[i] - x2,
+                     d3 = c3[i] - x3;
+        double acc = dist[i];
+        acc += d0 * d0;
+        acc += d1 * d1;
+        acc += d2 * d2;
+        acc += d3 * d3;
+        dist[i] = acc;
+      }
+    }
+    for (; j < num_features_; ++j) {
+      const double xj = row[j];
+      const double* coord = sv_t_.data() + static_cast<size_t>(j) * num_sv;
+      for (size_t i = 0; i < num_sv; ++i) {
+        const double diff = coord[i] - xj;
+        dist[i] += diff * diff;
+      }
+    }
+    double decision = bias_;
+    for (size_t i = 0; i < num_sv; ++i) {
+      decision += sv_coef_[i] * std::exp(-gamma_ * dist[i]);
+    }
+    out[r] = decision;
   }
-  return s;
 }
 
-double SvmRbf::PredictProb(const double* x) const {
+double SvmRbf::Decision(const double* x) const {
+  double decision = 0.0;
+  DecisionBlock(la::ConstMatrixView(x, 1, num_features_), &decision);
+  return decision;
+}
+
+void SvmRbf::PredictBlock(la::ConstMatrixView x, double* out) const {
+  DecisionBlock(x, out);
   // Monotone squashing keeps the bnd=0 decision boundary at probability 0.5.
-  return 1.0 / (1.0 + std::exp(-3.0 * Decision(x)));
+  for (int r = 0; r < x.rows(); ++r) {
+    out[r] = 1.0 / (1.0 + std::exp(-3.0 * out[r]));
+  }
 }
 
 void SvmRbf::SerializeTo(util::ByteWriter* out) const {
   out->I32(num_features_);
   out->F64(gamma_);
   out->F64(bias_);
-  out->U64(sv_x_.size());
-  for (const std::vector<double>& sv : sv_x_) out->VecF64(sv);
+  const size_t num_sv = sv_coef_.size();
+  out->U64(num_sv);
+  for (size_t i = 0; i < num_sv; ++i) {
+    out->U64(static_cast<uint64_t>(num_features_));
+    for (int j = 0; j < num_features_; ++j) {
+      out->F64(sv_t_[static_cast<size_t>(j) * num_sv + i]);
+    }
+  }
   out->VecF64(sv_coef_);
 }
 
@@ -180,16 +240,23 @@ Status SvmRbf::DeserializeFrom(util::ByteReader* in) {
   if (!in->ok() || num_features_ <= 0 || num_sv > in->remaining() / 8) {
     return Status::InvalidArgument("corrupt SVM: header");
   }
-  sv_x_.assign(static_cast<size_t>(num_sv), {});
-  for (std::vector<double>& sv : sv_x_) {
+  std::vector<std::vector<double>> support(static_cast<size_t>(num_sv));
+  for (std::vector<double>& sv : support) {
     sv = in->VecF64();
     if (!in->ok() || sv.size() != static_cast<size_t>(num_features_)) {
       return Status::InvalidArgument("corrupt SVM: support vector");
     }
   }
   sv_coef_ = in->VecF64();
-  if (!in->ok() || sv_coef_.size() != sv_x_.size()) {
+  if (!in->ok() || sv_coef_.size() != support.size()) {
     return Status::InvalidArgument("corrupt SVM: coefficients");
+  }
+  sv_t_.resize(support.size() * static_cast<size_t>(num_features_));
+  for (size_t i = 0; i < support.size(); ++i) {
+    for (int j = 0; j < num_features_; ++j) {
+      sv_t_[static_cast<size_t>(j) * support.size() + i] =
+          support[i][static_cast<size_t>(j)];
+    }
   }
   return Status::OK();
 }

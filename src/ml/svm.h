@@ -26,13 +26,13 @@ class SvmRbf : public Metamodel {
   explicit SvmRbf(SvmConfig config = {}) : config_(config) {}
 
   void Fit(const Dataset& d, uint64_t seed) override;
-  double PredictProb(const double* x) const override;
+  void PredictBlock(la::ConstMatrixView x, double* out) const override;
   int num_features() const override { return num_features_; }
 
   /// Signed decision value sum_i alpha_i y_i K(x_i, x) + b.
   double Decision(const double* x) const;
 
-  int num_support_vectors() const { return static_cast<int>(sv_x_.size()); }
+  int num_support_vectors() const { return static_cast<int>(sv_coef_.size()); }
   double gamma() const { return gamma_; }
 
   /// Appends the fitted machine (gamma, bias, support vectors and
@@ -43,14 +43,17 @@ class SvmRbf : public Metamodel {
   Status DeserializeFrom(util::ByteReader* in);
 
  private:
-  double Kernel(const double* a, const double* b) const;
+  /// Decision values of every row of `x` into out[0, x.rows()): the one
+  /// inference kernel behind Decision and PredictBlock.
+  void DecisionBlock(la::ConstMatrixView x, double* out) const;
 
   SvmConfig config_;
   double gamma_ = 1.0;
   double bias_ = 0.0;
   int num_features_ = 0;
-  std::vector<std::vector<double>> sv_x_;  // support vectors
-  std::vector<double> sv_coef_;            // alpha_i * y_i
+  std::vector<double> sv_t_;     // support vectors, feature-major:
+                                 // [j * num_sv + i] = x_i[j]
+  std::vector<double> sv_coef_;  // alpha_i * y_i
 };
 
 }  // namespace reds::ml

@@ -99,13 +99,19 @@ double FoldLoss(const Dataset& d, size_t num_built, int num_folds,
   for (size_t f = 0; f < num_built; ++f) {
     const std::unique_ptr<Metamodel> model = fit_fold(f);
     const std::vector<int>& held_out = test_rows(f);
-    std::vector<double> prob, y;
-    prob.reserve(held_out.size());
+    // Gather the held-out rows into one block for a single PredictBlock.
+    const int m = d.num_cols();
+    std::vector<double> x, y;
+    x.reserve(held_out.size() * static_cast<size_t>(m));
     y.reserve(held_out.size());
     for (int r : held_out) {
-      prob.push_back(model->PredictProb(d.row(r)));
+      x.insert(x.end(), d.row(r), d.row(r) + m);
       y.push_back(d.y(r) > 0.5 ? 1.0 : 0.0);
     }
+    std::vector<double> prob(held_out.size());
+    model->PredictBlock(
+        la::ConstMatrixView(x.data(), static_cast<int>(held_out.size()), m),
+        prob.data());
     total += LogLoss(prob, y);
   }
   return total / num_folds;

@@ -10,7 +10,7 @@
 
 #include "core/prim_loop.h"
 #include "ml/histogram.h"
-#include "ml/tree_wire.h"
+#include "ml/flat_trees.h"
 #include "shard/wire.h"
 
 namespace reds::shard {
@@ -355,21 +355,6 @@ Result<PrimResult> ShardCoordinator::RunPrim(const PrimConfig& config) {
   return result;
 }
 
-namespace {
-
-// Flat tree node matching RegressionTree's wire shape, so the distributed
-// fit serializes through the shared tree_wire layout and materializes as a
-// real RegressionTree.
-struct FleetTreeNode {
-  int feature = -1;
-  double threshold = 0.0;
-  int left = -1;
-  int right = -1;
-  double value = 0.0;
-};
-
-}  // namespace
-
 Result<ml::RegressionTree> ShardCoordinator::FitTree(
     const ml::TreeConfig& config) {
   if (bins_.num_rows == 0) {
@@ -410,7 +395,11 @@ Result<ml::RegressionTree> ShardCoordinator::FitTree(
   }
 
   const int m = bins_.num_cols;
-  std::vector<FleetTreeNode> nodes;
+  // Built through the same flat-node API RegressionTree grows with, then
+  // shipped through its wire layout so the result passes the same
+  // validation as any loaded tree.
+  ml::FlatTrees nodes;
+  nodes.BeginTree();
   int next_seg = 1;
   std::vector<std::vector<ml::HistBin>> merged(static_cast<size_t>(m));
   std::vector<ml::HistBin> scratch;
@@ -422,9 +411,7 @@ Result<ml::RegressionTree> ShardCoordinator::FitTree(
   std::function<Result<int>(int, const Moments&, int)> fit_node =
       [&](int seg, const Moments& mom, int depth) -> Result<int> {
     const int n = static_cast<int>(mom.count);
-    const int node_index = static_cast<int>(nodes.size());
-    nodes.emplace_back();
-    nodes.back().value = mom.sum / n;
+    const int node_index = nodes.AddNode(mom.sum / n);
 
     const bool depth_ok = config.max_depth < 0 || depth < config.max_depth;
     const double sse = mom.sum_sq - mom.sum * mom.sum / n;
@@ -520,10 +507,7 @@ Result<ml::RegressionTree> ShardCoordinator::FitTree(
     if (!left.ok()) return left;
     Result<int> right = fit_node(right_seg, right_mom, depth + 1);
     if (!right.ok()) return right;
-    nodes[static_cast<size_t>(node_index)].feature = best.feature;
-    nodes[static_cast<size_t>(node_index)].threshold = best.threshold;
-    nodes[static_cast<size_t>(node_index)].left = *left;
-    nodes[static_cast<size_t>(node_index)].right = *right;
+    nodes.SetSplit(node_index, best.feature, best.threshold, *left, *right);
     return node_index;
   };
 
@@ -532,8 +516,9 @@ Result<ml::RegressionTree> ShardCoordinator::FitTree(
   if (!fit.ok()) return fit.status();
   if (!finish.ok()) return finish;
 
+  nodes.FinishTree();
   util::ByteWriter wire;
-  ml::SerializeTreeNodes(nodes, &FleetTreeNode::value, &wire);
+  nodes.SerializeTree(0, &wire);
   util::ByteReader reader(wire.data());
   ml::RegressionTree tree;
   Status parse = tree.DeserializeFrom(&reader, m);

@@ -128,15 +128,9 @@ Status ShardWorker::HandleSketch(const std::string& payload) {
     // Per-block local sketches folded in block order -- the serial
     // BuildStreamed discipline, so a 1-worker fleet's summary state equals
     // the single-process build's even in the sketch-overflow regime.
-    const double* x = block->x.data();
     std::vector<ColumnSketch> local(static_cast<size_t>(m_),
                                     ColumnSketch(eps_));
-    for (int j = 0; j < m_; ++j) {
-      ColumnSketch& col = local[static_cast<size_t>(j)];
-      for (int r = 0; r < rows; ++r) {
-        col.AddValue(x[static_cast<size_t>(r) * m_ + j], cap_);
-      }
-    }
+    SketchRows(block->x.data(), rows, m_, cap_, &local);
     for (int j = 0; j < m_; ++j) {
       acc[static_cast<size_t>(j)].MergeFrom(local[static_cast<size_t>(j)],
                                             cap_);
@@ -160,12 +154,15 @@ Status ShardWorker::HandleBins(const std::string& payload) {
   if (!in.ok() || m != m_) {
     return Status::InvalidArgument("shard worker: kBins dims mismatch");
   }
-  std::vector<std::vector<double>> upper(static_cast<size_t>(m_));
+  std::vector<BinCoder> coders;
+  coders.reserve(static_cast<size_t>(m_));
   for (int j = 0; j < m_; ++j) {
-    upper[static_cast<size_t>(j)] = in.VecF64();
-    if (!in.ok() || upper[static_cast<size_t>(j)].empty()) {
+    std::vector<double> upper = in.VecF64();
+    if (!in.ok() || upper.empty() ||
+        upper.size() > static_cast<size_t>(BinnedIndex::kMaxBins)) {
       return Status::InvalidArgument("shard worker: bad kBins payload");
     }
+    coders.emplace_back(std::move(upper));
   }
 
   Status reset = source_->Reset();
@@ -175,7 +172,8 @@ Status ShardWorker::HandleBins(const std::string& payload) {
   std::vector<BinCodingStats> stats(static_cast<size_t>(m_));
   for (int j = 0; j < m_; ++j) {
     codes_[static_cast<size_t>(j)].reserve(static_cast<size_t>(n_));
-    stats[static_cast<size_t>(j)].Reset(upper[static_cast<size_t>(j)].size());
+    stats[static_cast<size_t>(j)].Reset(
+        coders[static_cast<size_t>(j)].num_bins());
   }
 
   int64_t seen = 0;
@@ -186,17 +184,10 @@ Status ShardWorker::HandleBins(const std::string& payload) {
     if (block->empty()) break;
     const int rows = block->num_rows();
     seen += rows;
-    const double* x = block->x.data();
     for (int j = 0; j < m_; ++j) {
-      const std::vector<double>& ub = upper[static_cast<size_t>(j)];
-      std::vector<uint8_t>& codes = codes_[static_cast<size_t>(j)];
-      BinCodingStats& cs = stats[static_cast<size_t>(j)];
-      for (int r = 0; r < rows; ++r) {
-        const double v = x[static_cast<size_t>(r) * m_ + j];
-        const uint8_t b = StreamedCodeOf(ub, v);
-        codes.push_back(b);
-        cs.Observe(b, v);
-      }
+      CodeColumn(coders[static_cast<size_t>(j)], block->x.data() + j, rows,
+                 m_, &codes_[static_cast<size_t>(j)],
+                 &stats[static_cast<size_t>(j)]);
     }
   }
   if (seen != n_) {

@@ -19,45 +19,11 @@ uint64_t DeriveSeed(uint64_t parent, uint64_t stream) {
   return SplitMix64(&state);
 }
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   uint64_t state = seed;
   for (auto& s : s_) s = SplitMix64(&state);
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 high-quality bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
-
-uint64_t Rng::UniformInt(uint64_t n) {
-  assert(n > 0);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = (0 - n) % n;
-  for (;;) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % n;
-  }
-}
 
 double Rng::Normal() {
   if (has_cached_normal_) {

@@ -29,6 +29,15 @@ inline __m128i GatherMaskNonZero(const unsigned char* mask, __m128i ids) {
   return _mm_cmpgt_epi32(bytes, _mm_setzero_si128());
 }
 
+// All-lanes double gather with an explicit zero pass-through, for the same
+// reason as above: _mm256_i32gather_pd's undefined source operand trips
+// GCC's maybe-uninitialized warning.
+inline __m256d GatherPd(const double* base, __m128i ids) {
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, ids,
+                                  _mm256_castsi256_pd(_mm256_set1_epi64x(-1)),
+                                  8);
+}
+
 }  // namespace
 
 double GatherSumAvx2(const double* v, const int* ids, int n) {
@@ -40,8 +49,8 @@ double GatherSumAvx2(const double* v, const int* ids, int n) {
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i));
     const __m128i id_hi =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i + 4));
-    acc0 = _mm256_add_pd(acc0, _mm256_i32gather_pd(v, id_lo, 8));
-    acc1 = _mm256_add_pd(acc1, _mm256_i32gather_pd(v, id_hi, 8));
+    acc0 = _mm256_add_pd(acc0, GatherPd(v, id_lo));
+    acc1 = _mm256_add_pd(acc1, GatherPd(v, id_hi));
   }
   const __m256d acc = _mm256_add_pd(acc0, acc1);
   const __m128d lo = _mm256_castpd256_pd128(acc);
@@ -62,7 +71,7 @@ int MaskedCountBelowAvx2(const double* col, const unsigned char* mask,
   for (; i + 4 <= n; i += 4) {
     const __m128i id =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i));
-    const __m256d vals = _mm256_i32gather_pd(col, id, 8);
+    const __m256d vals = GatherPd(col, id);
     const __m256d below = strict ? _mm256_cmp_pd(vals, vbound, _CMP_LT_OQ)
                                  : _mm256_cmp_pd(vals, vbound, _CMP_LE_OQ);
     const int below_bits = _mm256_movemask_pd(below);

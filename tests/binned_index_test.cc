@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/binned_index.h"
+#include "reference_sketch.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace reds {
 namespace {
@@ -150,6 +156,176 @@ TEST(BinnedIndexTest, BinOfClampsBeyondTheDataRange) {
   const auto binned = BinnedIndex::Build(*ColumnIndex::Build(d));
   EXPECT_EQ(binned->BinOf(0, -10.0), 0);
   EXPECT_EQ(binned->BinOf(0, 10.0), binned->num_bins(0) - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Streamed build byte identity: the library's sketch pass (radix-sorted
+// flushes, one-run spills) and bucketed coder against the plain per-value
+// feed and whole-array lower_bound coder of tests/reference_sketch.h.
+// ---------------------------------------------------------------------------
+
+// Columns covering both regimes: uniform and heavily skewed continuous
+// values (sketch), >cap distinct values with heavy duplicates (sketch with
+// weighted spills), few distinct values (exact pack), signed zeros mixed
+// into continuous data, and values spanning many binades.
+Dataset MixedRegimeData(int n, uint64_t seed) {
+  Rng rng(seed);
+  Dataset d(6);
+  for (int i = 0; i < n; ++i) {
+    const double x[6] = {
+        rng.Uniform(),
+        std::pow(rng.Uniform(), 8.0) * 1e6,
+        static_cast<double>(rng.UniformInt(400)) / 7.0,
+        static_cast<double>(rng.UniformInt(9)) / 8.0,
+        i % 5 == 0 ? (i % 10 == 0 ? -0.0 : 0.0) : rng.Uniform() - 0.5,
+        (rng.Uniform() - 0.5) *
+            std::pow(10.0, static_cast<double>(i % 30) - 15.0)};
+    d.AddRow(x, rng.Bernoulli(0.3) ? 1.0 : 0.0);
+  }
+  return d;
+}
+
+// The whole streamed build, re-derived with the reference pieces and
+// serialized in BinnedIndex's layout: per-block per-value summaries folded
+// in block order, reference bounds, lower_bound codes, then the library's
+// (shared, additive) coding stats and bin assembly.
+std::string ReferenceStreamedBytes(const Dataset& d, int block_rows, int cap,
+                                   double eps) {
+  const int n = d.num_rows();
+  const int m = d.num_cols();
+  std::vector<reference::ColumnSummary> acc(static_cast<size_t>(m),
+                                            reference::ColumnSummary(eps));
+  for (int r0 = 0; r0 < n; r0 += block_rows) {
+    const int rows = std::min(block_rows, n - r0);
+    for (int j = 0; j < m; ++j) {
+      reference::ColumnSummary local(eps);
+      for (int r = 0; r < rows; ++r) local.AddValue(d.x(r0 + r, j), cap);
+      acc[static_cast<size_t>(j)].MergeFrom(local, cap);
+    }
+  }
+  bool any_sketch = false;
+  util::ByteWriter columns;
+  for (int j = 0; j < m; ++j) {
+    reference::ColumnSummary& summary = acc[static_cast<size_t>(j)];
+    any_sketch = any_sketch || summary.overflow;
+    const std::vector<double> upper = summary.UpperBounds(n, cap);
+    BinCodingStats stats;
+    stats.Reset(upper.size());
+    std::vector<uint8_t> codes;
+    for (int r = 0; r < n; ++r) {
+      const uint8_t b = reference::ReferenceCode(upper, d.x(r, j));
+      codes.push_back(b);
+      stats.Observe(b, d.x(r, j));
+    }
+    const ColumnBinLayout layout = AssembleColumnBins(stats, n);
+    columns.U64(codes.size());
+    for (const uint8_t c : codes) columns.U8(layout.remap[c]);
+    columns.VecF64(layout.first);
+    columns.VecF64(layout.last);
+    columns.VecI32(layout.begins);
+  }
+  util::ByteWriter out;
+  out.U32(1);  // layout version
+  out.U8(static_cast<uint8_t>(any_sketch ? BinnedIndex::BuildKind::kSketch
+                                         : BinnedIndex::BuildKind::kExactPack));
+  out.U8(1);  // carries its own permutation
+  out.I32(n);
+  out.I32(m);
+  out.I32(cap);
+  return out.data() + columns.data();
+}
+
+TEST(BinnedIndexTest, StreamedBuildIsByteIdenticalToPerValueReference) {
+  const auto data = std::make_shared<const Dataset>(MixedRegimeData(30000, 11));
+  for (const int block_rows : {4096, 8192}) {
+    for (const int threads : {1, 3}) {
+      MatrixSource source(data);
+      StreamedBuildOptions options;
+      options.block_rows = block_rows;
+      options.threads = threads;
+      Result<StreamedDataset> built =
+          BinnedIndex::BuildStreamed(&source, options);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      util::ByteWriter bytes;
+      built->index->Serialize(&bytes);
+      EXPECT_EQ(bytes.data(),
+                ReferenceStreamedBytes(*data, block_rows, options.max_bins,
+                                       options.sketch_eps))
+          << "block_rows " << block_rows << " threads " << threads;
+      EXPECT_EQ(built->index->kind(), BinnedIndex::BuildKind::kSketch);
+    }
+  }
+}
+
+TEST(BinnedIndexTest, ColumnSummariesAreByteIdenticalToPerValueReference) {
+  const Dataset d = MixedRegimeData(20000, 12);
+  const int cap = 256;
+  const double eps = 1.0 / 2048.0;
+  const int block_rows = 5000;
+  std::vector<ColumnSketch> acc(static_cast<size_t>(d.num_cols()),
+                                ColumnSketch(eps));
+  std::vector<reference::ColumnSummary> ref(
+      static_cast<size_t>(d.num_cols()), reference::ColumnSummary(eps));
+  for (int r0 = 0; r0 < d.num_rows(); r0 += block_rows) {
+    std::vector<ColumnSketch> local(static_cast<size_t>(d.num_cols()),
+                                    ColumnSketch(eps));
+    SketchRows(d.row(r0), block_rows, d.num_cols(), cap, &local);
+    for (int j = 0; j < d.num_cols(); ++j) {
+      acc[static_cast<size_t>(j)].MergeFrom(local[static_cast<size_t>(j)], cap);
+      reference::ColumnSummary ref_local(eps);
+      for (int r = 0; r < block_rows; ++r) {
+        ref_local.AddValue(d.x(r0 + r, j), cap);
+      }
+      ref[static_cast<size_t>(j)].MergeFrom(ref_local, cap);
+    }
+  }
+  for (int j = 0; j < d.num_cols(); ++j) {
+    util::ByteWriter lib, oracle;
+    acc[static_cast<size_t>(j)].SerializeTo(&lib);
+    ref[static_cast<size_t>(j)].SerializeTo(&oracle);
+    EXPECT_EQ(lib.data(), oracle.data()) << "column " << j;
+  }
+}
+
+TEST(BinnedIndexTest, BinCoderMatchesWholeArrayLowerBound) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(13);
+  std::vector<std::vector<double>> bound_sets = {
+      {0.5},
+      {-0.0, 1.0},
+      {0.0, 0.0, inf},                        // duplicate bounds
+      {-inf, -1.0, 2.0},                      // infinite first bound
+      {1.0, nan, 3.0},                        // unordered bound
+      {-1e308, 1e308, inf},                   // span overflows
+      {1e-320, 2e-320, 4e-320, 1e-300},       // subnormal bounds
+  };
+  std::vector<double> quantiles;
+  for (int b = 0; b < 255; ++b) {
+    quantiles.push_back(std::pow(rng.Uniform(), 4.0) * 100.0);
+  }
+  std::sort(quantiles.begin(), quantiles.end());
+  quantiles.erase(std::unique(quantiles.begin(), quantiles.end()),
+                  quantiles.end());
+  quantiles.push_back(inf);
+  bound_sets.push_back(quantiles);
+  for (const std::vector<double>& upper : bound_sets) {
+    const BinCoder coder(upper);
+    std::vector<double> probes = {-inf, inf, nan, 0.0, -0.0, -1e308, 1e308,
+                                  std::numeric_limits<double>::denorm_min()};
+    for (const double u : upper) {
+      probes.push_back(u);
+      probes.push_back(std::nextafter(u, -inf));
+      probes.push_back(std::nextafter(u, inf));
+    }
+    for (int i = 0; i < 2000; ++i) {
+      probes.push_back((rng.Uniform() - 0.1) * 120.0);
+    }
+    for (const double v : probes) {
+      ASSERT_EQ(coder.Code(v), reference::ReferenceCode(upper, v))
+          << "value " << v << " over " << upper.size() << " bounds";
+    }
+  }
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ TEST(EngineObsTest, ColdAndWarmStreamedRedsTracesNameThePipeline) {
     ASSERT_NE(reds_job->trace(), nullptr);
     for (const char* stage :
          {"job", "ingest.materialize", "metamodel.fit", "relabel.stream",
-          "prim.peel", "validate"}) {
+          "relabel.sample", "relabel.label", "prim.peel", "validate"}) {
       EXPECT_GE(reds_job->trace()->CountEvents(stage), 1)
           << "cold REDS stage " << stage;
     }
@@ -156,7 +156,8 @@ TEST(EngineObsTest, ColdAndWarmStreamedRedsTracesNameThePipeline) {
     ASSERT_NE(reds_job->trace(), nullptr);
     for (const char* absent :
          {"metamodel.fit", "metamodel.load", "index.build", "relabel.stream",
-          "relabel.label_pass", "index.sketch_pass", "index.code_pass"}) {
+          "relabel.label_pass", "relabel.sample", "relabel.label",
+          "index.sketch_pass", "index.code_pass"}) {
       EXPECT_EQ(reds_job->trace()->CountEvents(absent), 0)
           << "warm REDS must skip " << absent;
     }

@@ -2,6 +2,9 @@
 // datasets across methods, and the relative-change helper.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "exp/bench_flags.h"
 #include "exp/experiment.h"
 
@@ -43,6 +46,40 @@ TEST(ExperimentTest, RunsAllCells) {
       EXPECT_LE(c.consistency, 100.0 + 1e-9);
     }
   }
+}
+
+TEST(ExperimentTest, HaltonTestSetsShareNoRowWithTrainingSets) {
+  // dsgc's Halton training designs start at a random leap; the test set
+  // must start past every stretch they can use. Regenerate the training
+  // set of every (N, rep) cell the runner would use and check that none of
+  // its points is a test point.
+  auto fn = fun::MakeFunction("dsgc");
+  ASSERT_TRUE(fn.ok());
+  const fun::DesignKind design = fun::DefaultDesignFor(**fn);
+  ASSERT_EQ(design, fun::DesignKind::kHalton);
+  const uint64_t seed = 42;
+  const std::vector<int> sizes = {200, 400};
+  const Dataset test =
+      MakeTestSet(**fn, 20000, design, 400, TestDataSeed(seed, 0));
+  std::set<std::vector<double>> test_rows;
+  for (int i = 0; i < test.num_rows(); ++i) {
+    test_rows.emplace(test.row(i), test.row(i) + test.num_cols());
+  }
+  int training_sets = 0;
+  for (const int n : sizes) {
+    for (int rep = 0; rep < 10; ++rep) {
+      const Dataset train = fun::MakeScenarioDataset(
+          **fn, n, design, TrainingDataSeed(seed, 0, n, rep));
+      for (int i = 0; i < train.num_rows(); ++i) {
+        ASSERT_EQ(test_rows.count(std::vector<double>(
+                      train.row(i), train.row(i) + train.num_cols())),
+                  0u)
+            << "N=" << n << " rep " << rep << " row " << i;
+      }
+      ++training_sets;
+    }
+  }
+  EXPECT_EQ(training_sets, 20);
 }
 
 TEST(ExperimentTest, MeanAggregatesReps) {

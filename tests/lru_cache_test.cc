@@ -2,6 +2,7 @@
 // recency updates, and the hit/miss/eviction statistics accessors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -94,7 +95,9 @@ namespace fake {
 class StubModel : public ml::Metamodel {
  public:
   void Fit(const Dataset&, uint64_t) override {}
-  double PredictProb(const double*) const override { return 0.5; }
+  void PredictBlock(la::ConstMatrixView x, double* out) const override {
+    std::fill(out, out + x.rows(), 0.5);
+  }
   int num_features() const override { return 1; }
 };
 

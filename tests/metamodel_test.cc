@@ -2,14 +2,25 @@
 // the classification metrics and the CV tuning harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "ml/gbt.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "ml/serialize.h"
 #include "ml/svm.h"
 #include "ml/tuning.h"
+#include "reference_metamodel.h"
 #include "util/rng.h"
+#include "util/serialize.h"
+#include "util/simd.h"
 
 namespace reds::ml {
 namespace {
@@ -219,6 +230,177 @@ TEST(TuningTest, FitDefaultReturnsWorkingModel) {
     auto model = FitDefault(kind, train, 35);
     ASSERT_NE(model, nullptr);
     EXPECT_GT(HoldoutAccuracy(*model, test), 0.8) << MetamodelSuffix(kind);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Block inference bit-identity against the per-row oracle of
+// tests/reference_metamodel.h: PredictBlock and PredictProb must match it
+// bit for bit, for every family and block size.
+// ---------------------------------------------------------------------------
+
+std::string Serialized(const Metamodel& model, MetamodelKind kind) {
+  util::ByteWriter out;
+  SerializeMetamodel(model, kind, &out);
+  return out.data();
+}
+
+std::shared_ptr<const Metamodel> Reloaded(MetamodelKind kind,
+                                          const std::string& bytes) {
+  util::ByteReader in(bytes);
+  Result<std::shared_ptr<const Metamodel>> model =
+      DeserializeMetamodel(&in, kind);
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  return model.ok() ? *model : nullptr;
+}
+
+// Four features: a continuous one, a 0/1 one, one spanning -1..1 with exact
+// signed zeros, and one in the subnormal range -- so fitted thresholds land
+// on all of those scales.
+Dataset AdversarialTrainingData(int n, uint64_t seed) {
+  Rng rng(seed);
+  Dataset d(4);
+  for (int i = 0; i < n; ++i) {
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    double x[4] = {rng.Uniform(), rng.Bernoulli(0.5) ? 1.0 : 0.0,
+                   2.0 * rng.Uniform() - 1.0, rng.Uniform() * 1e3 * tiny};
+    if (i % 17 == 0) x[2] = (i % 34 == 0) ? -0.0 : 0.0;
+    const double score =
+        x[0] + 0.3 * x[1] - 0.2 * x[2] + (x[3] > 500 * tiny ? 0.2 : 0.0);
+    d.AddRow(x, score + 0.1 * rng.Uniform() > 0.75 ? 1.0 : 0.0);
+  }
+  return d;
+}
+
+// Probe rows: inputs exactly on (and one ulp around) every split threshold,
+// rows built from {+0, -0, 0/1, subnormal, DBL_MIN} values, and random
+// rows, padded to more than 8193 rows.
+std::vector<double> ProbeRows(const reference::MetamodelOracle& oracle,
+                              uint64_t seed) {
+  const double specials[] = {0.0, -0.0, 1.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             DBL_MIN, DBL_MIN / 2, -DBL_MIN};
+  const int m = 4;
+  Rng rng(seed);
+  std::vector<double> rows;
+  const auto random_row = [&] {
+    std::vector<double> r = {rng.Uniform(), rng.Bernoulli(0.5) ? 1.0 : 0.0,
+                             2.0 * rng.Uniform() - 1.0,
+                             rng.Uniform() * 1e3 *
+                                 std::numeric_limits<double>::denorm_min()};
+    return r;
+  };
+  for (const auto& [f, t] : oracle.Splits()) {
+    for (const double v : {t, std::nextafter(t, -INFINITY),
+                           std::nextafter(t, INFINITY)}) {
+      std::vector<double> r = random_row();
+      r[static_cast<size_t>(f)] = v;
+      rows.insert(rows.end(), r.begin(), r.end());
+    }
+    if (rows.size() > 6000u * m) break;
+  }
+  for (const double a : specials) {
+    for (const double b : specials) {
+      for (int j = 0; j < m; ++j) {
+        std::vector<double> r(static_cast<size_t>(m), a);
+        r[static_cast<size_t>(j)] = b;
+        rows.insert(rows.end(), r.begin(), r.end());
+      }
+    }
+  }
+  while (rows.size() < 9000u * m) {
+    const std::vector<double> r = random_row();
+    rows.insert(rows.end(), r.begin(), r.end());
+  }
+  return rows;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void ExpectBlocksMatchOracle(const Metamodel& model,
+                             const reference::MetamodelOracle& oracle,
+                             const std::vector<double>& rows,
+                             const char* label) {
+  const int m = model.num_features();
+  const int n = static_cast<int>(rows.size()) / m;
+  std::vector<double> expected(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    expected[static_cast<size_t>(i)] =
+        oracle.Predict(rows.data() + static_cast<size_t>(i) * m);
+  }
+  for (int i = 0; i < n; i += 97) {
+    const double* row = rows.data() + static_cast<size_t>(i) * m;
+    ASSERT_TRUE(SameBits(model.PredictProb(row),
+                         expected[static_cast<size_t>(i)]))
+        << label << " PredictProb row " << i;
+  }
+  for (const int block : {1, 7, 8, 9, 8192, 8193}) {
+    std::vector<double> out(static_cast<size_t>(n), -1.0);
+    for (int r0 = 0; r0 < n; r0 += block) {
+      const int rows_here = std::min(block, n - r0);
+      model.PredictBlock(
+          la::ConstMatrixView(rows.data() + static_cast<size_t>(r0) * m,
+                              rows_here, m),
+          out.data() + r0);
+    }
+    int mismatches = 0;
+    for (int i = 0; i < n; ++i) {
+      mismatches += SameBits(out[static_cast<size_t>(i)],
+                             expected[static_cast<size_t>(i)])
+                        ? 0
+                        : 1;
+    }
+    EXPECT_EQ(mismatches, 0) << label << " block " << block;
+  }
+}
+
+std::unique_ptr<Metamodel> FitForBlockTest(MetamodelKind kind,
+                                           const Dataset& train) {
+  std::unique_ptr<Metamodel> model;
+  switch (kind) {
+    case MetamodelKind::kRandomForest: {
+      RandomForestConfig config;
+      config.num_trees = 40;
+      model = std::make_unique<RandomForest>(config);
+      break;
+    }
+    case MetamodelKind::kGbt:
+      model = std::make_unique<GradientBoostedTrees>();
+      break;
+    case MetamodelKind::kSvm:
+      model = std::make_unique<SvmRbf>();
+      break;
+  }
+  model->Fit(train, 31);
+  return model;
+}
+
+TEST(PredictBlockTest, BitIdenticalToPerRowOracleForEveryKind) {
+  const Dataset train = AdversarialTrainingData(400, 30);
+  std::vector<util::SimdLevel> levels = {util::SimdLevel::kScalar};
+  if (util::Avx2Available()) levels.push_back(util::SimdLevel::kAvx2);
+  for (const MetamodelKind kind :
+       {MetamodelKind::kRandomForest, MetamodelKind::kGbt,
+        MetamodelKind::kSvm}) {
+    const std::unique_ptr<Metamodel> fitted = FitForBlockTest(kind, train);
+    const std::string bytes = Serialized(*fitted, kind);
+    const std::shared_ptr<const Metamodel> reloaded = Reloaded(kind, bytes);
+    ASSERT_NE(reloaded, nullptr);
+    EXPECT_EQ(Serialized(*reloaded, kind), bytes) << "wire round trip";
+    const reference::MetamodelOracle oracle(kind, bytes);
+    ASSERT_TRUE(oracle.ok());
+    const std::vector<double> rows = ProbeRows(oracle, 32);
+    for (const util::SimdLevel level : levels) {
+      const util::SimdLevel previous = util::ForceSimdLevel(level);
+      const std::string label =
+          MetamodelSuffix(kind) + "/" + util::SimdLevelName(level);
+      ExpectBlocksMatchOracle(*fitted, oracle, rows,
+                              (label + " fitted").c_str());
+      ExpectBlocksMatchOracle(*reloaded, oracle, rows,
+                              (label + " reloaded").c_str());
+      util::ForceSimdLevel(previous);
+    }
   }
 }
 

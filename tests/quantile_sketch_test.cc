@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/quantile_sketch.h"
+#include "reference_sketch.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace reds {
 namespace {
@@ -163,6 +167,113 @@ TEST(QuantileSketchTest, AddWeightedMatchesRepeatedAdds) {
     data.push_back(v * 100.0);
   }
   ExpectWithinBound(sketch, data, "weighted+stream");
+}
+
+// ---------------------------------------------------------------------------
+// Byte identity with the plain per-value formulation
+// (tests/reference_sketch.h).
+// ---------------------------------------------------------------------------
+
+std::string Bytes(const QuantileSketch& s) {
+  util::ByteWriter out;
+  s.SerializeTo(&out);
+  return out.data();
+}
+
+std::string Bytes(reference::Sketch* s) {
+  util::ByteWriter out;
+  s->SerializeTo(&out);
+  return out.data();
+}
+
+// Streams the radix-sorted flush must order exactly like std::sort: every
+// adversarial shape, plus signed zeros (equal but distinct bits, which keep
+// std::sort) and subnormals.
+std::vector<std::vector<double>> IdentityStreams() {
+  std::vector<std::vector<double>> streams;
+  for (int kind = 0; kind <= 5; ++kind) {
+    streams.push_back(AdversarialStream(kind, 9000, 40 + kind));
+  }
+  Rng rng(47);
+  std::vector<double> zeros, tiny, mixed_sign;
+  for (int i = 0; i < 6000; ++i) {
+    zeros.push_back(i % 3 == 0 ? -0.0 : (i % 3 == 1 ? 0.0 : rng.Uniform()));
+    tiny.push_back(rng.Uniform() * 1e4 *
+                   std::numeric_limits<double>::denorm_min());
+    mixed_sign.push_back((rng.Uniform() - 0.5) * std::pow(10.0, i % 40 - 20));
+  }
+  streams.push_back(zeros);
+  streams.push_back(tiny);
+  streams.push_back(mixed_sign);
+  return streams;
+}
+
+TEST(QuantileSketchTest, PerValueFeedIsByteIdenticalToReference) {
+  for (const double eps : {1.0 / 2048.0, 1.0 / 64.0}) {
+    const std::vector<std::vector<double>> streams = IdentityStreams();
+    for (size_t k = 0; k < streams.size(); ++k) {
+      QuantileSketch sketch(eps);
+      reference::Sketch ref(eps);
+      for (size_t i = 0; i < streams[k].size(); ++i) {
+        sketch.Add(streams[k][i]);
+        ref.Add(streams[k][i]);
+        // Serializing flushes mid-stream; both forms must agree there too.
+        if (i % 2500 == 1234) {
+          ASSERT_EQ(Bytes(sketch), Bytes(&ref)) << "stream " << k << " @" << i;
+        }
+      }
+      EXPECT_EQ(Bytes(sketch), Bytes(&ref)) << "stream " << k << " eps " << eps;
+    }
+  }
+}
+
+TEST(QuantileSketchTest, SortedWeightedRunIsByteIdenticalToAddWeighted) {
+  Rng rng(48);
+  for (int trial = 0; trial < 6; ++trial) {
+    // Ascending distinct values with small and occasionally heavy weights,
+    // as a column's exact pairs look when they spill.
+    std::vector<double> values;
+    std::vector<int64_t> weights;
+    double v = trial % 2 == 0 ? -0.0 : -50.0;
+    for (int i = 0; i < 200 + 60 * trial; ++i) {
+      v = std::nextafter(v, INFINITY) + rng.Uniform();
+      values.push_back(v);
+      weights.push_back(i % 29 == 0 ? 900 : 1 + static_cast<int64_t>(
+                                                    rng.UniformInt(trial + 1)));
+    }
+    const double eps = trial < 3 ? 1.0 / 2048.0 : 1.0 / 100.0;
+    QuantileSketch sketch(eps);
+    sketch.AddSortedWeighted(values.data(), weights.data(), values.size());
+    reference::Sketch ref(eps);
+    for (size_t i = 0; i < values.size(); ++i) {
+      ref.AddWeighted(values[i], weights[i]);
+    }
+    EXPECT_EQ(Bytes(sketch), Bytes(&ref)) << "trial " << trial;
+    // Per-value inserts afterward land on identical state.
+    for (int i = 0; i < 3000; ++i) {
+      const double x = rng.Uniform() * v;
+      sketch.Add(x);
+      ref.Add(x);
+    }
+    EXPECT_EQ(Bytes(sketch), Bytes(&ref)) << "trial " << trial << " + adds";
+  }
+}
+
+TEST(QuantileSketchTest, MergeIsByteIdenticalToReference) {
+  const std::vector<std::vector<double>> streams = IdentityStreams();
+  QuantileSketch acc(1.0 / 2048.0);
+  reference::Sketch ref_acc(1.0 / 2048.0);
+  for (const std::vector<double>& stream : streams) {
+    QuantileSketch part(1.0 / 2048.0);
+    reference::Sketch ref_part(1.0 / 2048.0);
+    for (const double v : stream) {
+      part.Add(v);
+      ref_part.Add(v);
+    }
+    acc.Merge(part);
+    ref_acc.Merge(ref_part);
+    ASSERT_EQ(Bytes(acc), Bytes(&ref_acc));
+  }
 }
 
 TEST(QuantileSketchTest, QueryQuantileMatchesQueryRank) {

@@ -126,6 +126,37 @@ TEST(RedsTest, StreamedRelabelingMatchesMaterializedRows) {
   }
 }
 
+TEST(RedsTest, StreamedLabelsMatchMaterializedForEveryKind) {
+  // Block inference: the materialized path labels all L points in one
+  // PredictBlock call, the stream labels block by block (and a one-row
+  // block size degenerates to per-row calls). Every metamodel family and
+  // both label kinds must agree bit for bit.
+  auto f = fun::MakeFunction("ellipse");
+  const Dataset d =
+      fun::MakeScenarioDataset(**f, 150, fun::DesignKind::kLatinHypercube, 42);
+  for (const ml::MetamodelKind kind :
+       {ml::MetamodelKind::kRandomForest, ml::MetamodelKind::kGbt,
+        ml::MetamodelKind::kSvm}) {
+    for (const bool prob : {false, true}) {
+      const RedsConfig config = QuickConfig(kind, prob, 1500);
+      const RedsRelabeling materialized = RedsRelabel(d, config, 43);
+      for (const int block_rows : {1, 77, 8192}) {
+        RedsStreamedRelabeling streamed = RedsRelabelStreamed(d, config, 43);
+        auto drained = ReadAll(streamed.new_data.get(), block_rows);
+        ASSERT_TRUE(drained.ok());
+        ASSERT_EQ(drained->num_rows(), materialized.new_data.num_rows());
+        int mismatches = 0;
+        for (int i = 0; i < drained->num_rows(); ++i) {
+          mismatches += drained->y(i) == materialized.new_data.y(i) ? 0 : 1;
+        }
+        EXPECT_EQ(mismatches, 0)
+            << ml::MetamodelSuffix(kind) << " prob=" << prob
+            << " block_rows=" << block_rows;
+      }
+    }
+  }
+}
+
 TEST(RedsTest, SinglePassLabelCacheIsBitIdenticalToPureReplay) {
   // The fused single-pass stream (labels computed once in the sketch pass
   // and served from the O(L) cache in the coding pass) must be invisible
@@ -136,6 +167,8 @@ TEST(RedsTest, SinglePassLabelCacheIsBitIdenticalToPureReplay) {
       fun::MakeScenarioDataset(**f, 150, fun::DesignKind::kLatinHypercube, 40);
   StreamedDataset results[2];
   int label_passes[2] = {0, 0};
+  int label_spans[2] = {0, 0};
+  int sample_spans[2] = {0, 0};
   for (const bool fused : {false, true}) {
     RedsConfig config = QuickConfig(ml::MetamodelKind::kGbt, false, 1200);
     config.cache_stream_labels = fused;
@@ -147,12 +180,20 @@ TEST(RedsTest, SinglePassLabelCacheIsBitIdenticalToPureReplay) {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     results[fused ? 1 : 0] = std::move(built).value();
     label_passes[fused ? 1 : 0] = trace.CountEvents("relabel.label_pass");
+    label_spans[fused ? 1 : 0] = trace.CountEvents("relabel.label");
+    sample_spans[fused ? 1 : 0] = trace.CountEvents("relabel.sample");
   }
 #ifndef REDS_OBS_NOOP
   // Pure replay labels once per pass (sketch + coding); the fused stream
-  // labels exactly once in total.
+  // labels exactly once in total. The 1200 rows fit one block per pass:
+  // every pass samples it under relabel.sample, and each labeling pass
+  // infers it under one relabel.label span.
   EXPECT_EQ(label_passes[0], 2);
   EXPECT_EQ(label_passes[1], 1);
+  EXPECT_EQ(label_spans[0], 2);
+  EXPECT_EQ(label_spans[1], 1);
+  EXPECT_EQ(sample_spans[0], 2);
+  EXPECT_EQ(sample_spans[1], 2);
 #endif
   EXPECT_EQ(results[0].y, results[1].y);
   EXPECT_EQ(results[0].fingerprint, results[1].fingerprint);
@@ -180,11 +221,19 @@ TEST(RedsTest, MetamodelLabelIsTheSingleSourceOfTruth) {
       RedsRelabel(d, QuickConfig(ml::MetamodelKind::kGbt, false, 300), 15);
   const RedsRelabeling soft =
       RedsRelabel(d, QuickConfig(ml::MetamodelKind::kGbt, true, 300), 15);
+  // One-row blocks: the labels the whole-set block call produced must not
+  // depend on the block they were computed in.
+  const int m = d.num_cols();
   for (int i = 0; i < hard.new_data.num_rows(); ++i) {
-    EXPECT_EQ(hard.new_data.y(i),
-              MetamodelLabel(*hard.metamodel, hard.new_data.row(i), false));
-    EXPECT_EQ(soft.new_data.y(i),
-              MetamodelLabel(*soft.metamodel, soft.new_data.row(i), true));
+    double y_hard = -1.0, y_soft = -1.0;
+    MetamodelLabels(*hard.metamodel,
+                    la::ConstMatrixView(hard.new_data.row(i), 1, m), false,
+                    &y_hard);
+    MetamodelLabels(*soft.metamodel,
+                    la::ConstMatrixView(soft.new_data.row(i), 1, m), true,
+                    &y_soft);
+    EXPECT_EQ(hard.new_data.y(i), y_hard);
+    EXPECT_EQ(soft.new_data.y(i), y_soft);
   }
 }
 

@@ -36,6 +36,7 @@
 #include "core/method.h"
 #include "core/prim.h"
 #include "engine/discovery_engine.h"
+#include "hold_slots.h"
 #include "ml/gbt.h"
 #include "ml/histogram.h"
 #include "ml/metrics.h"
@@ -62,7 +63,7 @@ struct PerfFlags {
   int l_points = 100000; // relabeled dataset size L
   int dims = 10;
   int reps = 3;          // timing repetitions; best is reported
-  int threads = 4;       // for the *_parallel kernels
+  int threads = 4;       // split-search / peel threads of the *_parallel kernels
   uint64_t seed = 42;
   std::string out;           // JSON path; empty: stdout only
   std::string metrics_out;   // MetricsRegistry JSON path; empty: none
@@ -520,33 +521,33 @@ KernelResult BenchHistAccumulateQ16(const PerfFlags& flags) {
 }
 
 // --- Streaming build path: in-memory exact quantization (ColumnIndex + ---
-// BinnedIndex) vs the two-pass sketch-binned streaming build. Approximate:
-// the two packings place boundaries differently (greedy equal-share vs
-// exact-rank quantiles), so the quality delta is the worst bin-balance
-// deviation -- max |bin population - n/bins| / n, which the sketch's rank
-// error bounds on this continuous (tie-free) data.
-KernelResult BenchStreamedBuild(const PerfFlags& flags, int threads) {
+// BinnedIndex) vs the two-pass sketch-binned streaming build, run with
+// every fork-join slot held (all inline, one core). Approximate: the two
+// packings place boundaries differently (greedy equal-share vs exact-rank
+// quantiles), so the quality delta is the worst bin-balance deviation --
+// max |bin population - n/bins| / n, which the sketch's rank error bounds
+// on this continuous (tie-free) data.
+KernelResult BenchStreamedBuild(const PerfFlags& flags) {
   KernelResult result;
-  result.name = threads > 1 ? "binned_build_streamed_parallel"
-                            : "binned_build_streamed";
+  result.name = "binned_build_streamed";
   result.approximate = true;
   const auto data = std::make_shared<Dataset>(
       RandomData(flags.l_points, flags.dims, flags.seed + 9));
   result.detail = "L=" + std::to_string(flags.l_points) +
-                  " d=" + std::to_string(flags.dims) +
-                  (threads > 1 ? " threads=" + std::to_string(threads) : "");
+                  " d=" + std::to_string(flags.dims) + " inline";
 
   std::shared_ptr<const BinnedIndex> exact;
   result.reference_seconds = TimeBest(flags.reps, [&] {
     exact = BinnedIndex::Build(*ColumnIndex::Build(*data));
   });
   Result<StreamedDataset> streamed = Status::RuntimeError("not run");
-  result.optimized_seconds = TimeBest(flags.reps, [&] {
-    MatrixSource source(data);
-    StreamedBuildOptions options;
-    options.threads = threads;
-    streamed = BinnedIndex::BuildStreamed(&source, options);
-  });
+  {
+    HoldAllSlots hold;
+    result.optimized_seconds = TimeBest(flags.reps, [&] {
+      MatrixSource source(data);
+      streamed = BinnedIndex::BuildStreamed(&source);
+    });
+  }
   if (!streamed.ok()) {
     result.identical = false;
     result.quality_delta = 1.0;
@@ -565,6 +566,100 @@ KernelResult BenchStreamedBuild(const PerfFlags& flags, int threads) {
   }
   result.quality_delta = worst;
   result.identical = exact->codes(0) == streamed->index->codes(0);
+  return result;
+}
+
+std::string IndexBytes(const BinnedIndex& index) {
+  util::ByteWriter out;
+  index.Serialize(&out);
+  return out.data();
+}
+
+// --- Idle-core kernels: one call run with every fork-join slot held -----
+// (the reference: every region inline on the caller) and on an idle
+// process (regions fan out onto the idle cores), in the same run. Results
+// must be bit-identical; the speedup is what idle cores buy.
+
+// The streamed index build: columns of each block sketched and coded on
+// idle cores. Serialized index bytes must match.
+KernelResult BenchStreamedBuildIdleCores(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "binned_build_streamed_parallel";
+  const auto data = std::make_shared<Dataset>(
+      RandomData(flags.l_points, flags.dims, flags.seed + 9));
+  result.detail = "L=" + std::to_string(flags.l_points) +
+                  " d=" + std::to_string(flags.dims) + " idle-vs-busy";
+  const auto build = [&] {
+    MatrixSource source(data);
+    return BinnedIndex::BuildStreamed(&source);
+  };
+  Result<StreamedDataset> busy = Status::RuntimeError("not run");
+  Result<StreamedDataset> idle = Status::RuntimeError("not run");
+  {
+    HoldAllSlots hold;
+    result.reference_seconds = TimeBest(flags.reps, [&] { busy = build(); });
+  }
+  result.optimized_seconds = TimeBest(flags.reps, [&] { idle = build(); });
+  result.identical = busy.ok() && idle.ok() &&
+                     IndexBytes(*busy->index) == IndexBytes(*idle->index);
+  return result;
+}
+
+std::string ModelBytes(const ml::Metamodel& model, ml::MetamodelKind kind) {
+  util::ByteWriter out;
+  ml::SerializeMetamodel(model, kind, &out);
+  return out.data();
+}
+
+// CV-tuned metamodel fit: (grid cell x fold) fits on idle cores, then the
+// refit (RF: its trees) on idle cores. Serialized model bytes must match.
+KernelResult BenchTuneAndFitIdleCores(const PerfFlags& flags,
+                                      ml::MetamodelKind kind) {
+  KernelResult result;
+  result.name = std::string("tune_and_fit_") + ml::MetamodelSuffix(kind);
+  const int n = flags.quick ? flags.n_train : 400;
+  const int dims = flags.quick ? flags.dims : 20;
+  const Dataset d = RandomData(n, dims, flags.seed + 30);
+  result.detail = "n=" + std::to_string(n) + " d=" + std::to_string(dims) +
+                  " folds=5 idle-vs-busy";
+  std::unique_ptr<ml::Metamodel> busy, idle;
+  {
+    HoldAllSlots hold;
+    result.reference_seconds = TimeBest(flags.reps, [&] {
+      busy = ml::TuneAndFit(kind, d, flags.seed + 31);
+    });
+  }
+  result.optimized_seconds = TimeBest(flags.reps, [&] {
+    idle = ml::TuneAndFit(kind, d, flags.seed + 31);
+  });
+  result.identical = ModelBytes(*busy, kind) == ModelBytes(*idle, kind);
+  return result;
+}
+
+// PBc's plan: the alpha CV grid and the (fold x m) bumping runs on idle
+// cores. The chosen alpha and m must match.
+KernelResult BenchPlanPbcIdleCores(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "plan_pbc";
+  const int n = 400;
+  const int dims = flags.quick ? flags.dims : 20;
+  const Dataset d = RandomData(n, dims, flags.seed + 32);
+  RunOptions options;
+  options.seed = flags.seed + 33;
+  options.bumping_q = 20;  // the quick tables' Q
+  const MethodSpec spec = MethodSpec::Parse("PBc").value();
+  result.detail = "n=" + std::to_string(n) + " d=" + std::to_string(dims) +
+                  " Q=" + std::to_string(options.bumping_q) +
+                  " idle-vs-busy";
+  MethodPlan busy, idle;
+  {
+    HoldAllSlots hold;
+    result.reference_seconds = TimeBest(
+        flags.reps, [&] { busy = PlanMethod(spec, d, options); });
+  }
+  result.optimized_seconds =
+      TimeBest(flags.reps, [&] { idle = PlanMethod(spec, d, options); });
+  result.identical = busy.alpha == idle.alpha && busy.m == idle.m;
   return result;
 }
 
@@ -1364,10 +1459,9 @@ int main(int argc, char** argv) {
   maybe("bi_search", [&] { return BenchBi(flags); });
   maybe("hist_accumulate", [&] { return BenchHistAccumulate(flags); });
   maybe("hist_accumulate_q16", [&] { return BenchHistAccumulateQ16(flags); });
-  maybe("binned_build_streamed",
-        [&] { return BenchStreamedBuild(flags, /*threads=*/1); });
+  maybe("binned_build_streamed", [&] { return BenchStreamedBuild(flags); });
   maybe("binned_build_streamed_parallel",
-        [&] { return BenchStreamedBuild(flags, flags.threads); });
+        [&] { return BenchStreamedBuildIdleCores(flags); });
   maybe("prim_peel_streamed", [&] { return BenchPrimStreamed(flags); });
   maybe("reds_relabel_streamed",
         [&] { return BenchRedsRelabelStreamed(flags); });
@@ -1376,6 +1470,13 @@ int main(int argc, char** argv) {
   maybe("metrics_overhead", [&] { return BenchMetricsOverhead(flags); });
   maybe("tuning_streamed_folds",
         [&] { return BenchTuningStreamedFolds(flags); });
+  maybe("tune_and_fit_f", [&] {
+    return BenchTuneAndFitIdleCores(flags, ml::MetamodelKind::kRandomForest);
+  });
+  maybe("tune_and_fit_x", [&] {
+    return BenchTuneAndFitIdleCores(flags, ml::MetamodelKind::kGbt);
+  });
+  maybe("plan_pbc", [&] { return BenchPlanPbcIdleCores(flags); });
   maybe("gbt_leafwise", [&] { return BenchGbtLeafwise(flags); });
   maybe("engine_coalesced_batch",
         [&] { return BenchEngineCoalescedBatch(flags); });

@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
   MethodDataPlan data_plan = MethodDataPlan::kStreamed;
   bool expect_warm = false;
   StreamedBuildOptions build_options;
-  build_options.threads = 2;
   PrimConfig prim_config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -64,13 +64,17 @@ constexpr int kBucketsPerBound = 4;
 
 }  // namespace
 
+void SketchColumn(const double* x, int rows, int stride, int cap,
+                  ColumnSketch* col) {
+  for (int r = 0; r < rows; ++r) {
+    col->AddValue(x[static_cast<size_t>(r) * stride], cap);
+  }
+}
+
 void SketchRows(const double* x, int rows, int m, int cap,
                 std::vector<ColumnSketch>* cols) {
   for (int j = 0; j < m; ++j) {
-    ColumnSketch& col = (*cols)[static_cast<size_t>(j)];
-    for (int r = 0; r < rows; ++r) {
-      col.AddValue(x[static_cast<size_t>(r) * m + j], cap);
-    }
+    SketchColumn(x + j, rows, m, cap, &(*cols)[static_cast<size_t>(j)]);
   }
 }
 
@@ -253,10 +257,16 @@ BinCoder::BinCoder(std::vector<double> upper) : upper_(std::move(upper)) {
 
 void CodeColumn(const BinCoder& coder, const double* x, int rows, int stride,
                 std::vector<uint8_t>* codes, BinCodingStats* stats) {
+  // Grown once, then written through a raw pointer: the vector header is
+  // not touched per value (columns coded concurrently keep their headers
+  // side by side).
+  const size_t base = codes->size();
+  codes->resize(base + static_cast<size_t>(rows));
+  uint8_t* out = codes->data() + base;
   for (int r = 0; r < rows; ++r) {
     const double v = x[static_cast<size_t>(r) * stride];
     const uint8_t b = coder.Code(v);
-    codes->push_back(b);
+    out[r] = b;
     stats->Observe(b, v);
   }
 }
@@ -380,101 +390,55 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
   const int m = source->num_cols();
   if (m <= 0) return Status::InvalidArgument("source has no input columns");
   const int cap = options.max_bins;
-  const int threads = std::max(1, options.threads);
 
   // --- Pass 1: sketches, distinct tracking, fingerprints, labels. --------
   util::DatasetHasher input_hasher(util::DatasetHasher::Scope::kInputs, m);
   util::DatasetHasher full_hasher(util::DatasetHasher::Scope::kFull, m);
   std::vector<double> y;
+  if (source->num_rows_hint() > 0) {
+    y.reserve(static_cast<size_t>(source->num_rows_hint()));
+  }
   std::vector<ColumnSketch> acc(static_cast<size_t>(m),
                                 ColumnSketch(options.sketch_eps));
 
   Status reset = source->Reset();
   if (!reset.ok()) return reset;
 
-  // One slot-based loop for every thread count: batches of up to `threads`
-  // blocks are copied into private slots (block views die on the next
-  // NextBlock call), sketched into per-block summaries -- concurrently
-  // when a pool exists, inline otherwise -- and folded into the
-  // accumulator in block order. Thread count therefore cannot change the
-  // result; only block_rows can move sketch boundaries.
-  // One worker pool shared by both passes. Spawning a second pool for the
-  // coding pass cost more than its parallelism bought back at bench block
-  // sizes (the parallel streamed build measured slower than serial);
-  // threads are now created once per build.
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
   {
     obs::Span span("index.sketch_pass");
-    if (pool == nullptr) {
-      // Serial: sketch each block straight off the source's view (valid
-      // until the next NextBlock call) -- no slot copies. The per-block
-      // local sketch folded in block order is kept so the summary state
-      // matches the threaded path exactly: thread count cannot change the
-      // result, only block_rows can move sketch boundaries.
-      std::vector<ColumnSketch> local;
-      for (;;) {
-        Result<RowBlock> block = source->NextBlock(options.block_rows);
-        if (!block.ok()) return block.status();
-        if (block->empty()) break;
-        const int rows = block->num_rows();
-        input_hasher.AddRows(block->x.data(), nullptr, rows);
-        full_hasher.AddRows(block->x.data(), block->y, rows);
-        y.insert(y.end(), block->y, block->y + rows);
-        local.assign(static_cast<size_t>(m),
-                     ColumnSketch(options.sketch_eps));
-        SketchRows(block->x.data(), rows, m, cap, &local);
-        for (int j = 0; j < m; ++j) {
-          acc[static_cast<size_t>(j)].MergeFrom(local[static_cast<size_t>(j)],
-                                                cap);
+    // Each block is sketched in place, straight off the source's view
+    // (valid until the next NextBlock call), with nothing copied. Fork-join
+    // index 0 hashes the block; index 1 + j sketches column j into a
+    // block-local summary. The caller then folds the block summaries into
+    // the accumulators, so the long-lived accumulators grow in the
+    // caller's allocator arena rather than scattered over the helpers'
+    // (where their freed growth would stay resident). Columns are
+    // independent and blocks fold in block order, so the summaries do not
+    // depend on how many cores took part; only block_rows can move sketch
+    // boundaries.
+    std::vector<ColumnSketch> local(static_cast<size_t>(m),
+                                    ColumnSketch(options.sketch_eps));
+    for (;;) {
+      Result<RowBlock> block = source->NextBlock(options.block_rows);
+      if (!block.ok()) return block.status();
+      if (block->empty()) break;
+      const int rows = block->num_rows();
+      const double* x = block->x.data();
+      const double* block_y = block->y;
+      y.insert(y.end(), block_y, block_y + rows);
+      ParallelFor(0, m + 1, [&](int k) {
+        if (k == 0) {
+          input_hasher.AddRows(x, nullptr, rows);
+          full_hasher.AddRows(x, block_y, rows);
+          return;
         }
-      }
-    } else {
-      struct Slot {
-        std::vector<double> x, y;
-        int rows = 0;
-        std::vector<ColumnSketch> local;
-      };
-      std::vector<Slot> slots(static_cast<size_t>(threads));
-      bool done = false;
-      while (!done) {
-        int filled = 0;
-        while (filled < threads) {
-          Result<RowBlock> block = source->NextBlock(options.block_rows);
-          if (!block.ok()) return block.status();
-          if (block->empty()) {
-            done = true;
-            break;
-          }
-          Slot& slot = slots[static_cast<size_t>(filled)];
-          const int rows = block->num_rows();
-          slot.rows = rows;
-          slot.x.assign(block->x.data(),
-                        block->x.data() + static_cast<size_t>(rows) * m);
-          slot.y.assign(block->y, block->y + rows);
-          input_hasher.AddRows(slot.x.data(), nullptr, rows);
-          full_hasher.AddRows(slot.x.data(), slot.y.data(), rows);
-          y.insert(y.end(), slot.y.begin(), slot.y.end());
-          ++filled;
-        }
-        for (int s = 0; s < filled; ++s) {
-          Slot& slot = slots[static_cast<size_t>(s)];
-          slot.local.assign(static_cast<size_t>(m),
-                            ColumnSketch(options.sketch_eps));
-          pool->Submit([&slot, m, cap] {
-            SketchRows(slot.x.data(), slot.rows, m, cap, &slot.local);
-          });
-        }
-        pool->Wait();
-        for (int s = 0; s < filled; ++s) {
-          for (int j = 0; j < m; ++j) {
-            acc[static_cast<size_t>(j)].MergeFrom(
-                slots[static_cast<size_t>(s)].local[static_cast<size_t>(j)],
-                cap);
-          }
-        }
-      }
+        // Sketched in a thread-private summary, then moved into place:
+        // neighbouring summaries in `local` share cache lines.
+        ColumnSketch column(options.sketch_eps);
+        SketchColumn(x + (k - 1), rows, m, cap, &column);
+        local[static_cast<size_t>(k - 1)] = std::move(column);
+      });
+      for (size_t j = 0; j < acc.size(); ++j) acc[j].MergeFrom(local[j], cap);
     }
   }
 
@@ -516,7 +480,6 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
   }
 
   auto code_span = std::make_unique<obs::Span>("index.code_pass");
-  ThreadPool* code_pool = (pool != nullptr && m > 1) ? pool.get() : nullptr;
   int64_t seen = 0;
   for (;;) {
     Result<RowBlock> block = source->NextBlock(options.block_rows);
@@ -528,20 +491,13 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
       return Status::FailedPrecondition(
           "dataset source yielded extra rows on the second pass");
     }
+    // Columns code independently, in place off the block's view.
     const double* x = block->x.data();
-    auto code_column = [&, x, rows](int j) {
+    ParallelFor(0, m, [&](int j) {
       CodeColumn(coders[static_cast<size_t>(j)], x + j, rows, m,
                  &binned->codes_[static_cast<size_t>(j)],
                  &stats[static_cast<size_t>(j)]);
-    };
-    if (code_pool != nullptr) {
-      for (int j = 0; j < m; ++j) {
-        code_pool->Submit([&code_column, j] { code_column(j); });
-      }
-      code_pool->Wait();
-    } else {
-      for (int j = 0; j < m; ++j) code_column(j);
-    }
+    });
   }
   if (seen != n64) {
     return Status::FailedPrecondition(
@@ -554,7 +510,7 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
   binned->bin_first_.resize(static_cast<size_t>(m));
   binned->bin_last_.resize(static_cast<size_t>(m));
   binned->bin_begin_rank_.resize(static_cast<size_t>(m));
-  for (int j = 0; j < m; ++j) {
+  ParallelFor(0, m, [&](int j) {
     ColumnBinLayout layout =
         AssembleColumnBins(stats[static_cast<size_t>(j)], n);
     binned->num_bins_[static_cast<size_t>(j)] = layout.live;
@@ -566,7 +522,7 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
     binned->bin_first_[static_cast<size_t>(j)] = std::move(layout.first);
     binned->bin_last_[static_cast<size_t>(j)] = std::move(layout.last);
     binned->bin_begin_rank_[static_cast<size_t>(j)] = std::move(layout.begins);
-  }
+  });
   binned->BuildOwnPermutation();
   binned->RefreshViews();
 
@@ -583,7 +539,7 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
 // holds a single distinct value.
 void BinnedIndex::BuildOwnPermutation() {
   sorted_.assign(static_cast<size_t>(num_cols_), {});
-  for (int j = 0; j < num_cols_; ++j) {
+  ParallelFor(0, num_cols_, [this](int j) {
     std::vector<int>& perm = sorted_[static_cast<size_t>(j)];
     perm.resize(static_cast<size_t>(num_rows_));
     std::vector<int> offset(bin_begin_rank_[static_cast<size_t>(j)].begin(),
@@ -592,7 +548,7 @@ void BinnedIndex::BuildOwnPermutation() {
     for (int r = 0; r < num_rows_; ++r) {
       perm[static_cast<size_t>(offset[codes[static_cast<size_t>(r)]]++)] = r;
     }
-  }
+  });
 }
 
 void BinnedIndex::RefreshViews() {

@@ -87,18 +87,14 @@ class ColumnView {
 /// Knobs of the streaming build.
 struct StreamedBuildOptions {
   int max_bins = 256;      // <= BinnedIndex::kMaxBins
-  int block_rows = 8192;   // rows pulled per source block
+  /// Rows pulled per source block. The result does not depend on how many
+  /// cores the build uses, but changing block_rows may move sketch-binned
+  /// boundaries (within the rank-error bound either way).
+  int block_rows = 8192;
   /// Rank-error target of the per-column quantile sketches, as a fraction
   /// of the stream length; bin boundaries on >max_bins-distinct columns
   /// deviate from exact quantiles by at most this share of rows.
   double sketch_eps = 1.0 / 2048.0;
-  /// Blocks sketched concurrently on a private pool when > 1. Every block
-  /// is sketched privately and folded in block order on any thread count
-  /// (the serial path is the parallel path with one slot), so for a given
-  /// block_rows the result is bit-identical regardless of threads.
-  /// Changing block_rows may move sketch-binned boundaries (within the
-  /// rank-error bound either way).
-  int threads = 1;
 };
 
 class BinnedIndex;
@@ -140,9 +136,14 @@ struct ColumnSketch {
   static Result<ColumnSketch> DeserializeFrom(util::ByteReader* in);
 };
 
+/// Feeds one column of a row block (`rows` values, `stride` doubles apart,
+/// starting at `x`) into its summary. The sketch pass of BuildStreamed runs
+/// one of these per column.
+void SketchColumn(const double* x, int rows, int stride, int cap,
+                  ColumnSketch* col);
+
 /// Feeds a row-major block (`rows` rows of `m` doubles) into per-column
-/// summaries, column by column. The sketch pass of BuildStreamed and of the
-/// shard workers.
+/// summaries, column by column. The sketch pass of the shard workers.
 void SketchRows(const double* x, int rows, int m, int cap,
                 std::vector<ColumnSketch>* cols);
 

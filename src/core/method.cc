@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "core/quality.h"
@@ -11,6 +12,7 @@
 #include "util/fingerprint.h"
 #include "util/rng.h"
 #include "util/serialize.h"
+#include "util/thread_pool.h"
 
 namespace reds {
 
@@ -20,10 +22,7 @@ const double kAlphaGrid[] = {0.03, 0.05, 0.07, 0.1, 0.13, 0.16, 0.2};
 constexpr size_t kNumAlphas = sizeof(kAlphaGrid) / sizeof(kAlphaGrid[0]);
 
 // Row-id views of one valid (non-degenerate, positives on both sides)
-// train/holdout fold. The CV loops run fold-outer over these, so exactly
-// one fold's materialized matrices and indexes are resident at a time;
-// the fold geometry is identical to the historical all-folds-up-front
-// split (same FoldAssignment, same skip rules).
+// train/holdout fold.
 struct FoldRows {
   std::vector<int> train_rows;
   std::vector<int> test_rows;
@@ -51,6 +50,59 @@ std::vector<FoldRows> MakeFoldRows(const Dataset& d, int folds,
     out.push_back(std::move(rows));
   }
   return out;
+}
+
+// One CV fold, materialized once up front together with the indexes every
+// grid candidate run on it shares.
+struct Fold {
+  Dataset train;
+  Dataset holdout;
+  std::shared_ptr<const ColumnIndex> index;   // kColumn and up
+  std::shared_ptr<const BinnedIndex> binned;  // kBinned
+};
+
+enum class FoldIndexes { kNone, kColumn, kBinned };
+
+std::vector<Fold> MaterializeFolds(const Dataset& d, int folds, uint64_t seed,
+                                   FoldIndexes indexes) {
+  const std::vector<FoldRows> rows = MakeFoldRows(d, folds, seed);
+  std::vector<Fold> out(rows.size());
+  ParallelFor(0, static_cast<int>(rows.size()), [&](int f) {
+    Fold& fold = out[static_cast<size_t>(f)];
+    fold.train = d.SubsetRows(rows[static_cast<size_t>(f)].train_rows);
+    fold.holdout = d.SubsetRows(rows[static_cast<size_t>(f)].test_rows);
+    if (indexes == FoldIndexes::kNone) return;
+    fold.index = ColumnIndex::Build(fold.train);
+    if (indexes == FoldIndexes::kBinned) {
+      fold.binned = BinnedIndex::Build(*fold.index);
+    }
+  });
+  return out;
+}
+
+// Mean over folds of score(fold f, candidate c) for every candidate (0 when
+// there are no folds). Every (fold, candidate) run is one fork-join index
+// writing its own slot; the totals are then summed in fold order, so each
+// mean is bit-identical to the serial fold-outer loop's.
+std::vector<double> FoldMeans(
+    const std::vector<Fold>& folds, size_t candidates,
+    const std::function<double(size_t f, size_t c)>& score) {
+  std::vector<double> scores(folds.size() * candidates);
+  ParallelFor(0, static_cast<int>(scores.size()), [&](int k) {
+    const size_t f = static_cast<size_t>(k) / candidates;
+    const size_t c = static_cast<size_t>(k) % candidates;
+    scores[static_cast<size_t>(k)] = score(f, c);
+  });
+  std::vector<double> means(candidates, 0.0);
+  if (folds.empty()) return means;
+  for (size_t c = 0; c < candidates; ++c) {
+    double total = 0.0;
+    for (size_t f = 0; f < folds.size(); ++f) {
+      total += scores[f * candidates + c];
+    }
+    means[c] = total / static_cast<double>(folds.size());
+  }
+  return means;
 }
 
 }  // namespace
@@ -143,33 +195,23 @@ std::vector<int> MGrid(int num_inputs) {
 double CrossValidateAlpha(const Dataset& d, const RunOptions& options,
                           uint64_t seed) {
   double best_alpha = options.default_alpha;
-  const auto folds = MakeFoldRows(d, options.cv_folds, seed);
+  const std::vector<Fold> folds =
+      MaterializeFolds(d, options.cv_folds, seed, FoldIndexes::kBinned);
   if (folds.empty()) return best_alpha;
-  // Fold-outer, candidate-inner: one fold at a time is materialized,
-  // indexed, and quantized once for the whole alpha grid, then freed --
-  // peak CV residency is a single fold instead of all k. Per-candidate
-  // totals still accumulate in fold order, so every score (and the winning
-  // alpha) is bit-identical to the historical candidate-outer loop.
-  std::vector<double> totals(kNumAlphas, 0.0);
-  for (const FoldRows& rows : folds) {
-    const Dataset train = d.SubsetRows(rows.train_rows);
-    const Dataset holdout = d.SubsetRows(rows.test_rows);
-    const auto index = ColumnIndex::Build(train);
-    const auto binned = BinnedIndex::Build(*index);
-    for (size_t a = 0; a < kNumAlphas; ++a) {
-      PrimConfig config;
-      config.alpha = kAlphaGrid[a];
-      config.min_points = options.min_points;
-      const PrimResult r =
-          RunPrim(train, train, config, index.get(), binned.get());
-      totals[a] += PrAucOnData(r.ReturnedBoxes(), holdout);
-    }
-  }
+  const std::vector<double> scores =
+      FoldMeans(folds, kNumAlphas, [&](size_t f, size_t a) {
+        const Fold& fold = folds[f];
+        PrimConfig config;
+        config.alpha = kAlphaGrid[a];
+        config.min_points = options.min_points;
+        const PrimResult r = RunPrim(fold.train, fold.train, config,
+                                     fold.index.get(), fold.binned.get());
+        return PrAucOnData(r.ReturnedBoxes(), fold.holdout);
+      });
   double best_score = -1.0;
   for (size_t a = 0; a < kNumAlphas; ++a) {
-    const double score = totals[a] / static_cast<double>(folds.size());
-    if (score > best_score) {
-      best_score = score;
+    if (scores[a] > best_score) {
+      best_score = scores[a];
       best_alpha = kAlphaGrid[a];
     }
   }
@@ -246,34 +288,23 @@ MethodPlan PlanMethod(const MethodSpec& spec, const Dataset& train,
           CrossValidateAlpha(train, options, DeriveSeed(options.seed, 11));
     }
     if (spec.family == MethodSpec::Family::kBi) {
-      // Fold-outer, candidate-inner (same shape as CrossValidateAlpha):
-      // each fold is materialized and indexed once for the whole m grid,
-      // and only one fold is ever resident. Per-candidate WRAcc totals
-      // accumulate in fold order, matching the historical loop bit for
-      // bit.
-      const auto folds =
-          MakeFoldRows(train, options.cv_folds, DeriveSeed(options.seed, 13));
+      const std::vector<Fold> folds =
+          MaterializeFolds(train, options.cv_folds,
+                           DeriveSeed(options.seed, 13), FoldIndexes::kColumn);
       const std::vector<int> grid = MGrid(dims);
-      std::vector<double> totals(grid.size(), 0.0);
-      for (const FoldRows& rows : folds) {
-        const Dataset fold_train = train.SubsetRows(rows.train_rows);
-        const Dataset fold_holdout = train.SubsetRows(rows.test_rows);
-        const auto index = ColumnIndex::Build(fold_train);
-        for (size_t g = 0; g < grid.size(); ++g) {
-          BiConfig config;
-          config.beam_size = spec.beam_size;
-          config.max_restricted = grid[g];
-          const BiResult r = RunBi(fold_train, config, index.get());
-          totals[static_cast<size_t>(g)] += BoxWRAcc(fold_holdout, r.box);
-        }
-      }
+      const std::vector<double> scores =
+          FoldMeans(folds, grid.size(), [&](size_t f, size_t g) {
+            const Fold& fold = folds[f];
+            BiConfig config;
+            config.beam_size = spec.beam_size;
+            config.max_restricted = grid[g];
+            const BiResult r = RunBi(fold.train, config, fold.index.get());
+            return BoxWRAcc(fold.holdout, r.box);
+          });
       double best_score = -1e300;
       for (size_t g = 0; g < grid.size(); ++g) {
-        const double score =
-            folds.empty() ? 0.0
-                          : totals[g] / static_cast<double>(folds.size());
-        if (score > best_score) {
-          best_score = score;
+        if (scores[g] > best_score) {
+          best_score = scores[g];
           plan.m = grid[g];
         }
       }
@@ -283,32 +314,24 @@ MethodPlan PlanMethod(const MethodSpec& spec, const Dataset& train,
       base.q = options.bumping_q;
       base.prim.alpha = plan.alpha;
       base.prim.min_points = options.min_points;
-      // The historical loop re-derived identical folds for every m (same
-      // seed); fold-outer keeps the fold geometry and the per-fold bumping
-      // seeds (7000 + f) while materializing each fold once for the whole
-      // grid.
+      // Fold f's bumping runs use seed 7000 + f for every m.
       const uint64_t cv_seed = DeriveSeed(options.seed, 17);
-      const auto folds = MakeFoldRows(train, options.cv_folds, cv_seed);
+      const std::vector<Fold> folds = MaterializeFolds(
+          train, options.cv_folds, cv_seed, FoldIndexes::kNone);
       const std::vector<int> grid = MGrid(dims);
-      std::vector<double> totals(grid.size(), 0.0);
-      for (size_t f = 0; f < folds.size(); ++f) {
-        const Dataset fold_train = train.SubsetRows(folds[f].train_rows);
-        const Dataset fold_holdout = train.SubsetRows(folds[f].test_rows);
-        for (size_t g = 0; g < grid.size(); ++g) {
-          BumpingConfig config = base;
-          config.m = grid[g];
-          const BumpingResult r = RunPrimBumping(
-              fold_train, fold_train, config, DeriveSeed(cv_seed, 7000 + f));
-          totals[g] += PrAucOnData(r.boxes, fold_holdout);
-        }
-      }
+      const std::vector<double> scores =
+          FoldMeans(folds, grid.size(), [&](size_t f, size_t g) {
+            BumpingConfig config = base;
+            config.m = grid[g];
+            const BumpingResult r =
+                RunPrimBumping(folds[f].train, folds[f].train, config,
+                               DeriveSeed(cv_seed, 7000 + f));
+            return PrAucOnData(r.boxes, folds[f].holdout);
+          });
       double best_score = -1e300;
       for (size_t g = 0; g < grid.size(); ++g) {
-        const double score =
-            folds.empty() ? 0.0
-                          : totals[g] / static_cast<double>(folds.size());
-        if (score > best_score) {
-          best_score = score;
+        if (scores[g] > best_score) {
+          best_score = scores[g];
           plan.m = grid[g];
         }
       }

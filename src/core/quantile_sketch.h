@@ -8,8 +8,9 @@
 // invariant max(g_i + delta_i) <= floor(2 * eps * n) is preserved because a
 // merged tuple's uncertainty grows by at most the other summary's largest
 // gap, and the two gap budgets 2*eps*n_a + 2*eps*n_b sum to the combined
-// budget 2*eps*n. The ThreadPool therefore sketches row blocks in parallel
-// and folds the per-block sketches in deterministic block order.
+// budget 2*eps*n. The streamed index build and the shard fleet therefore
+// sketch blocks (and shards) independently and fold the per-block sketches
+// in deterministic block order.
 //
 // Everything is deterministic: same input sequence (and merge order), same
 // summary -- a requirement for reproducible bin boundaries and cache keys.

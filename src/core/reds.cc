@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace reds {
 
@@ -41,8 +42,9 @@ Dataset LabelPoints(const ml::Metamodel& model, std::vector<double> x,
 }
 
 // D_new as a stream: one sequential sampler RNG draws a block of points in
-// row order ("relabel.sample" span), then the metamodel labels the block's
-// unlabeled rows with one PredictBlock call ("relabel.label" span). Replaying
+// row order ("relabel.sample" span, serial: one RNG stream), then the
+// metamodel labels the block's unlabeled rows with one MetamodelLabels call
+// whose row ranges fan out onto idle cores ("relabel.label" span). Replaying
 // the RNG from the same derived seed on Reset() makes both build passes
 // (and any block size) see the identical row sequence -- and, because the
 // seed derivation and the sampler calls are exactly RedsRelabel's and
@@ -173,9 +175,19 @@ class RedsRelabelSource : public DatasetSource {
 
 void MetamodelLabels(const ml::Metamodel& model, la::ConstMatrixView x,
                      bool probability_labels, double* out) {
-  model.PredictBlock(x, out);
-  if (probability_labels) return;
-  for (int r = 0; r < x.rows(); ++r) out[r] = out[r] > 0.5 ? 1.0 : 0.0;
+  // Row ranges are labeled independently (PredictBlock is bit-identical
+  // for any block size), so idle cores can take some of them.
+  constexpr int kRowsPerChunk = 1024;
+  const int rows = x.rows();
+  const int cols = x.cols();
+  ParallelFor(0, (rows + kRowsPerChunk - 1) / kRowsPerChunk, [&](int c) {
+    const int r0 = c * kRowsPerChunk;
+    const int n = std::min(kRowsPerChunk, rows - r0);
+    double* y = out + r0;
+    model.PredictBlock(la::ConstMatrixView(x.row(r0), n, cols), y);
+    if (probability_labels) return;
+    for (int r = 0; r < n; ++r) y[r] = y[r] > 0.5 ? 1.0 : 0.0;
+  });
 }
 
 RedsRelabeling RedsRelabel(const Dataset& d, const RedsConfig& config,

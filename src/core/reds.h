@@ -85,7 +85,8 @@ RedsRelabeling RedsRelabelPoints(const Dataset& d,
                                  const RedsConfig& config, uint64_t seed);
 
 /// The one place REDS label semantics live: labels every row of the block
-/// `x` into out[0, x.rows()) with one Metamodel::PredictBlock call.
+/// `x` into out[0, x.rows()) with Metamodel::PredictBlock calls over row
+/// ranges, fanned out with ParallelFor onto idle cores.
 /// Probability labels ("p" variants) are f_am(x) in [0,1]; hard labels
 /// threshold it at 0.5. Every relabeling path -- materialized, point-wise,
 /// and streamed -- labels through this helper, so the paths cannot drift

@@ -262,6 +262,10 @@ DiscoveryEngine::DiscoveryEngine(EngineConfig config)
   streamed_index_misses_ = metrics_.counter("cache.index.streamed.misses");
   relabel_stream_hits_ = metrics_.counter("cache.relabel.hits");
   relabel_stream_misses_ = metrics_.counter("cache.relabel.misses");
+  fork_join_regions_ = metrics_.counter("forkjoin.regions");
+  fork_join_helper_chunks_ = metrics_.counter("forkjoin.helper_chunks");
+  fork_join_inline_regions_ = metrics_.counter("forkjoin.inline_regions");
+  fork_join_seen_ = GetForkJoinStats();
   // Which kernel tier this process dispatches to (0 = scalar, 1 = AVX2);
   // surfaces the REDS_SIMD override and the host's CPU features in
   // DumpMetrics so perf numbers are attributable.
@@ -279,6 +283,20 @@ DiscoveryEngine::DiscoveryEngine(EngineConfig config)
     std::filesystem::create_directories(trace_dir_, ec);
     if (ec) trace_dir_.clear();  // unwritable: run untraced, don't fail jobs
   }
+}
+
+std::string DiscoveryEngine::DumpMetrics(obs::ExportFormat format) const {
+  {
+    std::lock_guard<std::mutex> lock(fork_join_mutex_);
+    const ForkJoinStats now = GetForkJoinStats();
+    fork_join_regions_->Add(now.regions - fork_join_seen_.regions);
+    fork_join_helper_chunks_->Add(now.helper_chunks -
+                                  fork_join_seen_.helper_chunks);
+    fork_join_inline_regions_->Add(now.inline_regions -
+                                   fork_join_seen_.inline_regions);
+    fork_join_seen_ = now;
+  }
+  return metrics_.Dump(format);
 }
 
 JobHandle DiscoveryEngine::Submit(DiscoveryRequest request) {

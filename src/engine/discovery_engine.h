@@ -334,11 +334,13 @@ class DiscoveryEngine {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// One-page export of every metric: stable JSON (default) or Prometheus
-  /// text exposition.
+  /// text exposition. Also brings the process-wide fork-join counters up to
+  /// date: `forkjoin.regions` (ParallelFor regions opened),
+  /// `forkjoin.helper_chunks` (indices run on idle cores) and
+  /// `forkjoin.inline_regions` (regions that ran entirely on their caller),
+  /// each counted since this engine was constructed.
   std::string DumpMetrics(
-      obs::ExportFormat format = obs::ExportFormat::kJson) const {
-    return metrics_.Dump(format);
-  }
+      obs::ExportFormat format = obs::ExportFormat::kJson) const;
 
   /// Directory per-job traces are written to; empty when tracing is off.
   const std::string& trace_dir() const { return trace_dir_; }
@@ -392,6 +394,13 @@ class DiscoveryEngine {
   obs::Counter* streamed_index_misses_ = nullptr;
   obs::Counter* relabel_stream_hits_ = nullptr;
   obs::Counter* relabel_stream_misses_ = nullptr;
+  // Fork-join counters are process-wide; DumpMetrics adds what they gained
+  // since the last dump (or since construction).
+  obs::Counter* fork_join_regions_ = nullptr;
+  obs::Counter* fork_join_helper_chunks_ = nullptr;
+  obs::Counter* fork_join_inline_regions_ = nullptr;
+  mutable std::mutex fork_join_mutex_;
+  mutable ForkJoinStats fork_join_seen_;
   MetamodelCache cache_;
   std::unique_ptr<PersistentCache> disk_;  // null: tier disabled
   mutable std::mutex column_index_mutex_;

@@ -11,6 +11,27 @@ namespace reds::fun {
 namespace {
 
 // --- morris: Saltelli/Morris screening function, 20 inputs, exact form. ---
+// First- and second-order coefficients, tabulated so the evaluation loops
+// carry no per-term branches (test-set generation spends its time here).
+struct MorrisBetas {
+  double first[20] = {};
+  double second[20][20] = {};
+};
+
+constexpr MorrisBetas MakeMorrisBetas() {
+  MorrisBetas b;
+  for (int i = 0; i < 20; ++i) {
+    b.first[i] = i < 10 ? 20.0 : ((i + 1) % 2 == 0 ? 1.0 : -1.0);
+    for (int j = 0; j < 20; ++j) {
+      b.second[i][j] =
+          (i < 6 && j < 6) ? -15.0 : ((i + j + 2) % 2 == 0 ? 1.0 : -1.0);
+    }
+  }
+  return b;
+}
+
+constexpr MorrisBetas kMorrisBetas = MakeMorrisBetas();
+
 class Morris final : public DeterministicFunction {
  public:
   std::string name() const override { return "morris"; }
@@ -22,24 +43,14 @@ class Morris final : public DeterministicFunction {
 
   double Raw(const double* x) const override {
     double w[20];
-    for (int i = 0; i < 20; ++i) {
-      // 1-indexed inputs 3, 5, 7 get the nonlinear warp.
-      if (i == 2 || i == 4 || i == 6) {
-        w[i] = 2.0 * (1.1 * x[i] / (x[i] + 0.1) - 0.5);
-      } else {
-        w[i] = 2.0 * (x[i] - 0.5);
-      }
-    }
+    for (int i = 0; i < 20; ++i) w[i] = 2.0 * (x[i] - 0.5);
+    // 1-indexed inputs 3, 5, 7 get the nonlinear warp.
+    for (int i : {2, 4, 6}) w[i] = 2.0 * (1.1 * x[i] / (x[i] + 0.1) - 0.5);
     double y = 0.0;
-    for (int i = 0; i < 20; ++i) {
-      const double beta = i < 10 ? 20.0 : ((i + 1) % 2 == 0 ? 1.0 : -1.0);
-      y += beta * w[i];
-    }
+    for (int i = 0; i < 20; ++i) y += kMorrisBetas.first[i] * w[i];
     for (int i = 0; i < 20; ++i) {
       for (int j = i + 1; j < 20; ++j) {
-        const double beta =
-            (i < 6 && j < 6) ? -15.0 : ((i + j + 2) % 2 == 0 ? 1.0 : -1.0);
-        y += beta * w[i] * w[j];
+        y += kMorrisBetas.second[i][j] * w[i] * w[j];
       }
     }
     for (int i = 0; i < 5; ++i) {

@@ -78,16 +78,15 @@ void RandomForest::Fit(const Dataset& d, uint64_t seed,
       r = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(d.num_rows())));
       in_bag_counts_[static_cast<size_t>(t)][static_cast<size_t>(r)]++;
     }
-    trees[static_cast<size_t>(t)].Fit(d, rows, tree_config, &rng, index,
-                                      binned);
+    // Grown in a thread-private tree, then moved into its slot: trees fit
+    // concurrently would otherwise share cache lines of `trees`.
+    RegressionTree tree;
+    tree.Fit(d, rows, tree_config, &rng, index, binned);
+    trees[static_cast<size_t>(t)] = std::move(tree);
   };
-  if (config_.fit_threads > 1) {
-    // Trees are seeded independently, so the parallel fit is deterministic
-    // and identical to the serial one.
-    ParallelFor(0, config_.num_trees, fit_tree, config_.fit_threads);
-  } else {
-    for (int t = 0; t < config_.num_trees; ++t) fit_tree(t);
-  }
+  // Trees are seeded independently and write only their own slots, so the
+  // fit is identical however many cores take part.
+  ParallelFor(0, config_.num_trees, fit_tree);
   Flatten(trees);
 }
 
@@ -136,14 +135,13 @@ void RandomForest::FitOnRows(const Dataset& d, const std::vector<int>& rows,
       r = rows[rng.UniformInt(static_cast<uint64_t>(n_fit))];
       in_bag_counts_[static_cast<size_t>(t)][static_cast<size_t>(r)]++;
     }
-    trees[static_cast<size_t>(t)].Fit(d, bag, tree_config, &rng, index,
-                                      binned);
+    // Grown in a thread-private tree, then moved into its slot: trees fit
+    // concurrently would otherwise share cache lines of `trees`.
+    RegressionTree tree;
+    tree.Fit(d, bag, tree_config, &rng, index, binned);
+    trees[static_cast<size_t>(t)] = std::move(tree);
   };
-  if (config_.fit_threads > 1) {
-    ParallelFor(0, config_.num_trees, fit_tree, config_.fit_threads);
-  } else {
-    for (int t = 0; t < config_.num_trees; ++t) fit_tree(t);
-  }
+  ParallelFor(0, config_.num_trees, fit_tree);
   Flatten(trees);
 }
 

@@ -21,8 +21,6 @@ struct RandomForestConfig {
   int max_depth = -1;
   double sample_fraction = 1.0;  // bootstrap sample size as share of N
   SplitBackend backend = SplitBackend::kPresorted;
-  int fit_threads = 1;       // trees fit in parallel when > 1 (each tree has
-                             // its own seed stream, so results are identical)
   // Per-tree frontier order; histogram backend only (see ml/cart.h).
   GrowthPolicy growth = GrowthPolicy::kDepthWise;
   int max_leaves = 0;        // leaf-wise cap per tree; 0 = unlimited

@@ -12,6 +12,7 @@
 #include "ml/svm.h"
 #include "obs/trace.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace reds::ml {
 
@@ -88,71 +89,107 @@ std::vector<CvFold> BuildCvFolds(const Dataset& d, int folds, uint64_t seed,
   return out;
 }
 
-// Mean held-out log-loss over the fitted per-fold models. `fit_fold`
-// returns the model for fold f; scoring (and the per-fold seed stream) is
-// shared by both fold plans so their losses can only differ through the
-// fits themselves.
-double FoldLoss(const Dataset& d, size_t num_built, int num_folds,
-                const std::function<std::unique_ptr<Metamodel>(size_t)>& fit_fold,
-                const std::function<const std::vector<int>&(size_t)>& test_rows) {
-  double total = 0.0;
-  for (size_t f = 0; f < num_built; ++f) {
-    const std::unique_ptr<Metamodel> model = fit_fold(f);
-    const std::vector<int>& held_out = test_rows(f);
-    // Gather the held-out rows into one block for a single PredictBlock.
-    const int m = d.num_cols();
-    std::vector<double> x, y;
-    x.reserve(held_out.size() * static_cast<size_t>(m));
-    y.reserve(held_out.size());
-    for (int r : held_out) {
-      x.insert(x.end(), d.row(r), d.row(r) + m);
-      y.push_back(d.y(r) > 0.5 ? 1.0 : 0.0);
-    }
-    std::vector<double> prob(held_out.size());
-    model->PredictBlock(
-        la::ConstMatrixView(x.data(), static_cast<int>(held_out.size()), m),
-        prob.data());
-    total += LogLoss(prob, y);
+// Held-out log-loss of one fitted fold model: the held-out rows are
+// gathered into one block for a single PredictBlock.
+double HeldOutLoss(const Metamodel& model, const Dataset& d,
+                   const std::vector<int>& held_out) {
+  const int m = d.num_cols();
+  std::vector<double> x, y;
+  x.reserve(held_out.size() * static_cast<size_t>(m));
+  y.reserve(held_out.size());
+  for (int r : held_out) {
+    x.insert(x.end(), d.row(r), d.row(r) + m);
+    y.push_back(d.y(r) > 0.5 ? 1.0 : 0.0);
   }
-  return total / num_folds;
+  std::vector<double> prob(held_out.size());
+  model.PredictBlock(
+      la::ConstMatrixView(x.data(), static_cast<int>(held_out.size()), m),
+      prob.data());
+  return LogLoss(prob, y);
 }
 
-// Mean CV log-loss of a candidate on the materialized folds.
-double CrossValidate(const ModelFactory& factory, const Dataset& d,
-                     const std::vector<CvFold>& folds, int num_folds,
-                     uint64_t seed) {
-  return FoldLoss(
-      d, folds.size(), num_folds,
-      [&](size_t f) {
-        auto model = factory();
-        model->Fit(folds[f].train,
-                   DeriveSeed(seed, static_cast<uint64_t>(f) + 101),
-                   folds[f].index.get(), folds[f].binned.get());
-        return model;
-      },
-      [&](size_t f) -> const std::vector<int>& { return folds[f].test_rows; });
+// Fits a candidate on fold f with the given seed. Both fold plans score
+// through CellLosses, so their losses can only differ through the fits.
+using FoldFit = std::function<std::unique_ptr<Metamodel>(
+    const ModelFactory&, size_t f, uint64_t seed)>;
+
+// Mean CV log-loss of each grid cell in `cells` over the `folds` folds
+// built (degenerate folds are skipped, but the mean still divides by
+// `num_folds`). Every (cell, fold) fit is one fork-join index writing its
+// own slot; each cell's fold losses are then summed in fold order, so the
+// doubles match the serial fold loop's bit for bit. Cell g's fold seeds
+// come from DeriveSeed(seed, g).
+std::vector<double> CellLosses(
+    const std::vector<ModelFactory>& grid, const std::vector<int>& cells,
+    const Dataset& d, size_t folds, int num_folds, uint64_t seed,
+    const FoldFit& fit_fold,
+    const std::function<const std::vector<int>&(size_t)>& test_rows) {
+  std::vector<double> fold_loss(cells.size() * folds);
+  ParallelFor(0, static_cast<int>(fold_loss.size()), [&](int k) {
+    const size_t c = static_cast<size_t>(k) / folds;
+    const size_t f = static_cast<size_t>(k) % folds;
+    const int g = cells[c];
+    const uint64_t g_seed = DeriveSeed(seed, static_cast<uint64_t>(g));
+    const std::unique_ptr<Metamodel> model =
+        fit_fold(grid[static_cast<size_t>(g)], f,
+                 DeriveSeed(g_seed, static_cast<uint64_t>(f) + 101));
+    fold_loss[static_cast<size_t>(k)] = HeldOutLoss(*model, d, test_rows(f));
+  });
+  std::vector<double> loss(cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    double total = 0.0;
+    for (size_t f = 0; f < folds; ++f) total += fold_loss[c * folds + f];
+    loss[c] = total / num_folds;
+  }
+  return loss;
 }
 
-// Mean CV log-loss of a candidate fit through per-fold row views over the
-// shared full-data indexes: nothing fold-sized is ever copied, so peak
-// tuning residency is the one transient fit working set, not k fold
-// matrices. Bit-identical to CrossValidate wherever FitOnRows is (see
+// CellLosses under the streamed fold plan: candidates fit through per-fold
+// row views over the shared full-data indexes, so nothing fold-sized is
+// ever copied and each transient fit holds only its own working set.
+// Bit-identical to the materialized plan wherever FitOnRows is (see
 // ml/model.h).
-double CrossValidateStreamed(const ModelFactory& factory, const Dataset& d,
-                             const std::vector<CvFoldRows>& folds,
-                             int num_folds, uint64_t seed,
-                             const ColumnIndex* index,
-                             const BinnedIndex* binned) {
-  return FoldLoss(
-      d, folds.size(), num_folds,
-      [&](size_t f) {
+std::vector<double> StreamedCellLosses(
+    const std::vector<ModelFactory>& grid, const std::vector<int>& cells,
+    const Dataset& d, const std::vector<CvFoldRows>& folds, int num_folds,
+    uint64_t seed, const ColumnIndex* index, const BinnedIndex* binned) {
+  return CellLosses(
+      grid, cells, d, folds.size(), num_folds, seed,
+      [&](const ModelFactory& factory, size_t f, uint64_t fold_seed) {
         auto model = factory();
-        model->FitOnRows(d, folds[f].train_rows,
-                         DeriveSeed(seed, static_cast<uint64_t>(f) + 101),
-                         index, binned);
+        model->FitOnRows(d, folds[f].train_rows, fold_seed, index, binned);
         return model;
       },
       [&](size_t f) -> const std::vector<int>& { return folds[f].test_rows; });
+}
+
+// The full-data views every streamed fold fit shares, reusing the caller's
+// prebuilt indexes when given. Building the full index here is still
+// strictly smaller than the materialized plan's k fold indexes of
+// ~(k-1)/k rows each.
+struct SharedViews {
+  std::shared_ptr<const ColumnIndex> owned_index;
+  std::shared_ptr<const BinnedIndex> owned_binned;
+  const ColumnIndex* index = nullptr;
+  const BinnedIndex* binned = nullptr;
+};
+
+SharedViews MakeSharedViews(const Dataset& d, const TuningConfig& config,
+                            bool tree_family, const ColumnIndex* index,
+                            const BinnedIndex* binned) {
+  SharedViews views;
+  views.index = index;
+  views.binned = binned;
+  if (!tree_family) return views;
+  if (views.index == nullptr) {
+    views.owned_index = ColumnIndex::Build(d);
+    views.index = views.owned_index.get();
+  }
+  if (config.backend == SplitBackend::kHistogram && views.binned == nullptr) {
+    views.owned_binned = BinnedIndex::Build(*views.index);
+    views.binned = views.owned_binned.get();
+  }
+  return views;
 }
 
 std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
@@ -161,40 +198,38 @@ std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
                                     bool tree_family,
                                     const ColumnIndex* index,
                                     const BinnedIndex* binned) {
-  const bool streamed = config.fold_plan == CvFoldPlan::kStreamed;
-  std::vector<CvFoldRows> fold_rows;
-  std::vector<CvFold> folds;
-  std::shared_ptr<const ColumnIndex> owned_index;
-  std::shared_ptr<const BinnedIndex> owned_binned;
-  if (streamed) {
-    fold_rows = BuildFoldRows(d.num_rows(), config.folds, seed);
-    if (tree_family) {
-      // One full-data view pair serves every fold of every candidate
-      // (reusing the caller's prebuilt indexes when given). Building the
-      // full index here is still strictly smaller than the materialized
-      // plan's k fold indexes of ~(k-1)/k rows each.
-      if (index == nullptr) {
-        owned_index = ColumnIndex::Build(d);
-        index = owned_index.get();
-      }
-      if (config.backend == SplitBackend::kHistogram && binned == nullptr) {
-        owned_binned = BinnedIndex::Build(*index);
-        binned = owned_binned.get();
-      }
-    }
+  std::vector<int> cells(grid.size());
+  for (size_t g = 0; g < grid.size(); ++g) cells[g] = static_cast<int>(g);
+  std::vector<double> losses;
+  SharedViews views;  // kept alive for the refit below
+  if (config.fold_plan == CvFoldPlan::kStreamed) {
+    views = MakeSharedViews(d, config, tree_family, index, binned);
+    index = views.index;
+    binned = views.binned;
+    losses = StreamedCellLosses(grid, cells, d,
+                                BuildFoldRows(d.num_rows(), config.folds, seed),
+                                config.folds, seed, index, binned);
   } else {
-    folds = BuildCvFolds(d, config.folds, seed, config.backend, tree_family);
+    const std::vector<CvFold> folds =
+        BuildCvFolds(d, config.folds, seed, config.backend, tree_family);
+    losses = CellLosses(
+        grid, cells, d, folds.size(), config.folds, seed,
+        [&](const ModelFactory& factory, size_t f, uint64_t fold_seed) {
+          auto model = factory();
+          model->Fit(folds[f].train, fold_seed, folds[f].index.get(),
+                     folds[f].binned.get());
+          return model;
+        },
+        [&](size_t f) -> const std::vector<int>& {
+          return folds[f].test_rows;
+        });
   }
+  // Argmin first-wins in cell order.
   double best_loss = std::numeric_limits<double>::infinity();
   size_t best = 0;
   for (size_t g = 0; g < grid.size(); ++g) {
-    const uint64_t g_seed = DeriveSeed(seed, static_cast<uint64_t>(g));
-    const double loss =
-        streamed ? CrossValidateStreamed(grid[g], d, fold_rows, config.folds,
-                                         g_seed, index, binned)
-                 : CrossValidate(grid[g], d, folds, config.folds, g_seed);
-    if (loss < best_loss) {
-      best_loss = loss;
+    if (losses[g] < best_loss) {
+      best_loss = losses[g];
       best = g;
     }
   }
@@ -339,27 +374,15 @@ double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
                       const ColumnIndex* index, const BinnedIndex* binned) {
   const std::vector<ModelFactory> grid =
       BuildTuningGrid(kind, d.num_cols(), config);
-  const bool tree_family = kind != MetamodelKind::kSvm;
-  const std::vector<CvFoldRows> fold_rows =
-      BuildFoldRows(d.num_rows(), config.folds, seed);
-  std::shared_ptr<const ColumnIndex> owned_index;
-  std::shared_ptr<const BinnedIndex> owned_binned;
-  if (tree_family) {
-    if (index == nullptr) {
-      owned_index = ColumnIndex::Build(d);
-      index = owned_index.get();
-    }
-    if (config.backend == SplitBackend::kHistogram && binned == nullptr) {
-      owned_binned = BinnedIndex::Build(*index);
-      binned = owned_binned.get();
-    }
-  }
-  // Same per-cell seed stream as PickBest's grid loop, so a cell's loss is
-  // the same whether it is evaluated here (a shard worker) or inline.
-  return CrossValidateStreamed(grid[static_cast<size_t>(cell)], d, fold_rows,
-                               config.folds,
-                               DeriveSeed(seed, static_cast<uint64_t>(cell)),
-                               index, binned);
+  const SharedViews views = MakeSharedViews(
+      d, config, kind != MetamodelKind::kSvm, index, binned);
+  // Same per-cell seed stream and fold-order sum as PickBest, so a cell's
+  // loss is the same whether it is evaluated here (a shard worker) or
+  // inline.
+  return StreamedCellLosses(grid, {cell}, d,
+                            BuildFoldRows(d.num_rows(), config.folds, seed),
+                            config.folds, seed, views.index, views.binned)
+      .front();
 }
 
 std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,

@@ -1,11 +1,14 @@
-// Minimal fixed-size thread pool with a ParallelFor helper; the experiment
-// harness uses it to run (method x function x repetition) cells concurrently.
+// Fixed-size thread pool, plus the process-wide fork-join (ParallelFor) that
+// lets one job spread its independent loops over the cores the rest of the
+// process leaves idle. The experiment harness and the engine use the pool
+// to run whole jobs concurrently; the fork-join runs the loops inside them.
 #ifndef REDS_UTIL_THREAD_POOL_H_
 #define REDS_UTIL_THREAD_POOL_H_
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -18,7 +21,8 @@
 namespace reds {
 
 /// Fixed-size worker pool. Tasks are void() callables; Wait() blocks until
-/// the queue drains and all in-flight tasks finish.
+/// the queue drains and all in-flight tasks finish. A worker counts as a
+/// busy thread for ParallelFor while it runs a task.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (defaults to hardware
@@ -26,8 +30,8 @@ class ThreadPool {
   /// pool maintains `<prefix>.queue_depth` / `<prefix>.active_workers`
   /// gauges, a `<prefix>.task_wait_ns` histogram (submit-to-start latency,
   /// the backpressure signal), and a `<prefix>.tasks_completed` counter.
-  /// Short-lived private pools (ParallelFor, PRIM backends) pass null and
-  /// pay nothing.
+  /// Short-lived private pools (PRIM backends, benches) pass null and pay
+  /// nothing.
   explicit ThreadPool(int num_threads = 0,
                       obs::MetricsRegistry* metrics = nullptr,
                       const std::string& metric_prefix = "engine.pool");
@@ -72,10 +76,38 @@ class ThreadPool {
   obs::Counter* tasks_completed_ = nullptr;
 };
 
-/// Runs body(i) for i in [begin, end) across `num_threads` workers. Spawns a
-/// private pool; intended for coarse-grained outer loops.
-void ParallelFor(int begin, int end, const std::function<void(int)>& body,
-                 int num_threads = 0);
+/// Runs body(i) for every i in [begin, end) and returns once all have run.
+/// One work-conserving fork-join serves the whole process:
+///  * Caller-runs. The calling thread claims indices through an atomic
+///    cursor and runs them itself; it waits only for indices a helper has
+///    already started. A region is never slower than the serial loop beyond
+///    the hand-off (one lock and one wake-up) and one atomic per index,
+///    nested regions cannot deadlock, and a region may be opened from a
+///    ThreadPool task.
+///  * No oversubscription. hardware_concurrency - 1 helper threads start
+///    lazily, once per process. A process-wide count tracks the threads
+///    doing work (ThreadPool workers running a task, ParallelFor callers,
+///    helpers running indices); a helper joins a region only while that
+///    count is below hardware_concurrency, and stops claiming once pool
+///    tasks started after it push the count above. On a full box every
+///    region runs inline on its caller.
+///  * Exceptions. An index that throws stops further claims; the first
+///    exception is rethrown to the caller after the started indices finish.
+///  * Tracing. Helpers run under the caller's obs::TraceBinding, so spans
+///    opened inside body land in the caller's trace.
+/// Which thread runs an index is unspecified. Callers write per-index
+/// results into their own slots and combine them in index order, so results
+/// never depend on how many cores were idle.
+void ParallelFor(int begin, int end, const std::function<void(int)>& body);
+
+/// Process-wide fork-join counters since process start.
+struct ForkJoinStats {
+  uint64_t regions = 0;         // ParallelFor calls over a non-empty range
+  uint64_t helper_chunks = 0;   // indices run by helper threads
+  uint64_t inline_regions = 0;  // regions whose every index ran on the caller
+};
+
+ForkJoinStats GetForkJoinStats();
 
 }  // namespace reds
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/binned_index.h"
+#include "hold_slots.h"
 #include "reference_sketch.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -235,14 +236,17 @@ std::string ReferenceStreamedBytes(const Dataset& d, int block_rows, int cap,
   return out.data() + columns.data();
 }
 
+// Built on an idle process (columns fan out onto idle cores) and with every
+// fork-join slot held (all inline), the index bytes equal the reference.
 TEST(BinnedIndexTest, StreamedBuildIsByteIdenticalToPerValueReference) {
   const auto data = std::make_shared<const Dataset>(MixedRegimeData(30000, 11));
   for (const int block_rows : {4096, 8192}) {
-    for (const int threads : {1, 3}) {
+    for (const bool busy : {false, true}) {
+      std::unique_ptr<HoldAllSlots> hold;
+      if (busy) hold = std::make_unique<HoldAllSlots>();
       MatrixSource source(data);
       StreamedBuildOptions options;
       options.block_rows = block_rows;
-      options.threads = threads;
       Result<StreamedDataset> built =
           BinnedIndex::BuildStreamed(&source, options);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -251,7 +255,7 @@ TEST(BinnedIndexTest, StreamedBuildIsByteIdenticalToPerValueReference) {
       EXPECT_EQ(bytes.data(),
                 ReferenceStreamedBytes(*data, block_rows, options.max_bins,
                                        options.sketch_eps))
-          << "block_rows " << block_rows << " threads " << threads;
+          << "block_rows " << block_rows << (busy ? " busy" : " idle");
       EXPECT_EQ(built->index->kind(), BinnedIndex::BuildKind::kSketch);
     }
   }

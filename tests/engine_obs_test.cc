@@ -1,18 +1,23 @@
 // Engine observability end to end: per-job traces name every pipeline
 // stage, a warm streamed REDS job's trace proves zero fits and zero index
-// builds, DumpMetrics covers every subsystem, and the legacy stat views
-// stay consistent with the registry that now backs them.
+// builds, DumpMetrics covers every subsystem (fork-join counters included),
+// spans opened on idle cores land in the job's trace and fan-out changes no
+// span, and the legacy stat views stay consistent with the registry that now
+// backs them.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/dataset_source.h"
 #include "engine/discovery_engine.h"
+#include "hold_slots.h"
 #include "util/rng.h"
 
 namespace reds::engine {
@@ -240,13 +245,119 @@ TEST(EngineObsTest, DumpMetricsCoversEverySubsystem) {
        {"\"engine.jobs.submitted\": 4", "\"engine.job.latency_ns\"",
         "\"cache.metamodel.fits\": 1", "\"engine.pool.queue_depth\"",
         "\"cache.metamodel.size\"", "\"engine.build.simd\"",
-        "\"cache.relabel.hits\""}) {
+        "\"cache.relabel.hits\"", "\"forkjoin.regions\"",
+        "\"forkjoin.helper_chunks\"", "\"forkjoin.inline_regions\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
   const std::string prom = engine.DumpMetrics(obs::ExportFormat::kPrometheus);
   EXPECT_NE(prom.find("engine_jobs_submitted 4"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE engine_job_latency_ns summary"),
             std::string::npos);
+}
+
+std::map<std::string, int> SpanCounts(const obs::Trace& trace) {
+  std::map<std::string, int> counts;
+  for (const obs::TraceEvent& e : trace.events()) ++counts[e.name];
+  return counts;
+}
+
+// Runs one cold job on a fresh one-worker traced engine and returns it with
+// the engine's fork-join counters (dumped after the job).
+struct TracedRun {
+  JobHandle job;
+  uint64_t regions = 0;
+  uint64_t helper_chunks = 0;
+  uint64_t inline_regions = 0;
+};
+
+TracedRun RunTracedJob(DiscoveryRequest request, const std::string& dir) {
+  EngineConfig config;
+  config.threads = 1;
+  config.trace_dir = dir;
+  DiscoveryEngine engine(config);
+  TracedRun run;
+  run.job = engine.Submit(std::move(request));
+  engine.WaitAll();
+  const std::string json = engine.DumpMetrics();
+  EXPECT_NE(json.find("\"forkjoin.regions\""), std::string::npos);
+  run.regions = engine.metrics().CounterValue("forkjoin.regions");
+  run.helper_chunks = engine.metrics().CounterValue("forkjoin.helper_chunks");
+  run.inline_regions =
+      engine.metrics().CounterValue("forkjoin.inline_regions");
+  engine.Shutdown();
+  return run;
+}
+
+// Fan-out onto idle cores changes no span: a cold tuned RPf job records the
+// same span names and counts on an idle process as with every fork-join
+// slot held (everything inline on the job's worker). The fork-join counters
+// in DumpMetrics show which of the two happened.
+TEST(EngineObsTest, ColdTunedRpfTraceIsTheSameOnIdleAndBusyCores) {
+  SKIP_UNDER_NOOP();
+  const auto data = MakeGridData(300, 4, 19);
+  DiscoveryRequest request = SourceRequest(data, "RPf");
+  request.options.tune_metamodel = true;
+  const std::string dir = FreshDir("idle_busy");
+
+  const TracedRun idle = RunTracedJob(request, dir);
+  ASSERT_EQ(idle.job->state(), JobState::kDone) << idle.job->error();
+  ASSERT_NE(idle.job->trace(), nullptr);
+  EXPECT_GE(idle.job->trace()->CountEvents("metamodel.fit"), 1);
+  EXPECT_GT(idle.regions, 0u);
+  if (HardwareSlots() > 1) EXPECT_GT(idle.helper_chunks, 0u);
+
+  TracedRun busy;
+  {
+    HoldAllSlots hold;
+    busy = RunTracedJob(request, dir);
+  }
+  ASSERT_EQ(busy.job->state(), JobState::kDone) << busy.job->error();
+  ASSERT_NE(busy.job->trace(), nullptr);
+  EXPECT_GT(busy.regions, 0u);
+  EXPECT_EQ(busy.helper_chunks, 0u);
+  EXPECT_EQ(busy.inline_regions, busy.regions);
+
+  EXPECT_EQ(SpanCounts(*idle.job->trace()), SpanCounts(*busy.job->trace()));
+  std::filesystem::remove_all(dir);
+}
+
+// A span opened inside a fork-join index lands in the job's trace, whichever
+// thread ran the index: Pc's alpha CV peels (prim.peel) run as fork-join
+// indices, so on idle cores some of them come from helper threads.
+TEST(EngineObsTest, SpansOpenedOnIdleCoresLandInTheJobTrace) {
+  SKIP_UNDER_NOOP();
+  const auto data = MakeGridData(3000, 4, 23);
+  const std::string dir = FreshDir("chunk_spans");
+  const TracedRun idle = RunTracedJob(SourceRequest(data, "Pc"), dir);
+  ASSERT_EQ(idle.job->state(), JobState::kDone) << idle.job->error();
+  TracedRun busy;
+  {
+    HoldAllSlots hold;
+    busy = RunTracedJob(SourceRequest(data, "Pc"), dir);
+  }
+  ASSERT_EQ(busy.job->state(), JobState::kDone) << busy.job->error();
+  // One peel per (fold, alpha) cell plus the final discovery.
+  const int peels = busy.job->trace()->CountEvents("prim.peel");
+  EXPECT_GT(peels, 1);
+  EXPECT_EQ(idle.job->trace()->CountEvents("prim.peel"), peels);
+
+  std::set<int> peel_threads;
+  for (const obs::TraceEvent& e : idle.job->trace()->events()) {
+    if (e.name == "prim.peel") peel_threads.insert(e.tid);
+  }
+  if (HardwareSlots() > 1) {
+    EXPECT_GT(idle.helper_chunks, 0u);
+    EXPECT_GT(peel_threads.size(), 1u) << "no peel ran on a helper thread";
+  }
+  // The Chrome export carries every one of them.
+  const std::string json = idle.job->trace()->ToChromeJson();
+  size_t count = 0;
+  for (size_t pos = json.find("\"prim.peel\""); pos != std::string::npos;
+       pos = json.find("\"prim.peel\"", pos + 1)) {
+    ++count;
+  }
+  EXPECT_EQ(count, static_cast<size_t>(peels));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineObsTest, LegacyStatViewsMatchTheRegistry) {

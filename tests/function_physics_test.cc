@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "functions/registry.h"
 
@@ -115,6 +117,47 @@ TEST(MorrisPhysicsTest, FirstTenInputsDominate) {
   const double f0 = RawAt(*f, base);
   EXPECT_GT(std::fabs(RawAt(*f, move1) - f0),
             5.0 * std::fabs(RawAt(*f, move20) - f0));
+}
+
+// The published formula term by term, in the library's summation order:
+// the tabulated evaluation must reproduce it bit for bit.
+double MorrisFormula(const double* x) {
+  double w[20];
+  for (int i = 0; i < 20; ++i) {
+    w[i] = (i == 2 || i == 4 || i == 6) ? 2.0 * (1.1 * x[i] / (x[i] + 0.1) - 0.5)
+                                        : 2.0 * (x[i] - 0.5);
+  }
+  double y = 0.0;
+  for (int i = 0; i < 20; ++i) {
+    y += (i < 10 ? 20.0 : ((i + 1) % 2 == 0 ? 1.0 : -1.0)) * w[i];
+  }
+  for (int i = 0; i < 20; ++i) {
+    for (int j = i + 1; j < 20; ++j) {
+      y += ((i < 6 && j < 6) ? -15.0 : ((i + j + 2) % 2 == 0 ? 1.0 : -1.0)) *
+           w[i] * w[j];
+    }
+  }
+  for (int i = 0; i < 5; ++i) {
+    for (int j = i + 1; j < 5; ++j) {
+      for (int l = j + 1; l < 5; ++l) y += -10.0 * w[i] * w[j] * w[l];
+    }
+  }
+  return y + 5.0 * w[0] * w[1] * w[2] * w[3];
+}
+
+TEST(MorrisPhysicsTest, MatchesThePublishedFormulaBitForBit) {
+  auto f = MakeFunction("morris").value();
+  std::vector<double> x(20);
+  for (int k = 0; k < 2000; ++k) {
+    for (int i = 0; i < 20; ++i) {
+      x[static_cast<size_t>(i)] = std::fmod(0.618034 * (k * 20 + i + 1), 1.0);
+    }
+    if (k == 0) x.assign(20, 0.0);
+    if (k == 1) x.assign(20, 1.0);
+    const double expected = MorrisFormula(x.data());
+    const double got = RawAt(*f, x);
+    EXPECT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0) << "point " << k;
+  }
 }
 
 TEST(Welch92PhysicsTest, InertInputsAreExactlyInert) {

@@ -14,6 +14,7 @@
 #include "ml/cart.h"
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
+#include "hold_slots.h"
 #include "util/rng.h"
 
 namespace reds {
@@ -400,15 +401,18 @@ TEST(RandomForestEquivalenceTest, PresortedForestMatchesReference) {
   reference.Fit(d, 13);
   ml::RandomForest sorted_fit(config);
   sorted_fit.Fit(d, 13);
-  ml::RandomForestConfig par_config = config;
-  par_config.fit_threads = 4;
-  ml::RandomForest parallel(par_config);
-  parallel.Fit(d, 13);
+  // Trees fit on idle cores above; with every fork-join slot held they
+  // all fit inline on this thread.
+  ml::RandomForest busy_fit(config);
+  {
+    HoldAllSlots hold;
+    busy_fit.Fit(d, 13);
+  }
   for (int i = 0; i < probe.num_rows(); ++i) {
     EXPECT_DOUBLE_EQ(reference.PredictProb(probe.row(i)),
                      sorted_fit.PredictProb(probe.row(i)));
     EXPECT_DOUBLE_EQ(reference.PredictProb(probe.row(i)),
-                     parallel.PredictProb(probe.row(i)));
+                     busy_fit.PredictProb(probe.row(i)));
   }
   // OOB bookkeeping must agree too (same bootstrap streams).
   const std::vector<double> ref_oob = reference.OobPredictions(d);

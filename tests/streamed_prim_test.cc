@@ -1,6 +1,6 @@
 // The streaming data plane equivalence contract: BuildStreamed reproduces
 // the exact in-memory quantization bit for bit when every column has at
-// most max_bins distinct values (any block size, any thread count, CSV or
+// most max_bins distinct values (any block size, idle or busy cores, CSV or
 // in-memory source), RunPrimStreamed then reproduces RunPrim's boxes bit
 // for bit on such data ({0,1} and fractional labels alike), and on
 // continuous data the streamed boxes stay within the binning's bounded
@@ -16,6 +16,7 @@
 #include "core/dataset_source.h"
 #include "core/prim.h"
 #include "engine/fingerprint.h"
+#include "hold_slots.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -84,11 +85,12 @@ TEST(StreamedBuildTest, MatchesExactPackOnDiscreteData) {
   const auto data = std::make_shared<Dataset>(MakeData(1500, 4, 1, 23));
   const auto exact = BinnedIndex::Build(*data);
   for (int block : {64, 257, 5000}) {
-    for (int threads : {1, 3}) {
+    for (const bool busy : {false, true}) {
+      std::unique_ptr<HoldAllSlots> hold;
+      if (busy) hold = std::make_unique<HoldAllSlots>();
       MatrixSource source(data);
       StreamedBuildOptions options;
       options.block_rows = block;
-      options.threads = threads;
       auto streamed = BinnedIndex::BuildStreamed(&source, options);
       ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
       EXPECT_EQ(streamed->index->kind(), BinnedIndex::BuildKind::kExactPack);
@@ -205,24 +207,30 @@ TEST(StreamedPrimTest, BoundedErrorOnContinuousData) {
 
 // The determinism contract on the sketch path (not just the exact-pack
 // path): for a given block_rows, continuous (>max_bins-distinct) columns
-// must bin identically on any thread count, because per-block sketches
-// fold in block order either way.
-TEST(StreamedBuildTest, SketchPathIdenticalAcrossThreadCounts) {
+// must bin identically however many cores the build gets, because
+// per-block sketches fold in block order either way. The busy build runs
+// with every fork-join slot held, so all of it runs inline.
+TEST(StreamedBuildTest, SketchPathIdenticalBusyAndIdle) {
   const auto data = std::make_shared<Dataset>(MakeData(5000, 3, 6, 0));
-  StreamedBuildOptions serial;
-  serial.block_rows = 512;
+  StreamedBuildOptions options;
+  options.block_rows = 512;
   MatrixSource source_a(data);
-  auto a = BinnedIndex::BuildStreamed(&source_a, serial);
-  ASSERT_TRUE(a.ok());
-  ASSERT_EQ(a->index->kind(), BinnedIndex::BuildKind::kSketch);
-  for (const int threads : {2, 4}) {
-    StreamedBuildOptions parallel = serial;
-    parallel.threads = threads;
+  auto idle = BinnedIndex::BuildStreamed(&source_a, options);
+  ASSERT_TRUE(idle.ok());
+  ASSERT_EQ(idle->index->kind(), BinnedIndex::BuildKind::kSketch);
+  const ForkJoinStats before = GetForkJoinStats();
+  Result<StreamedDataset> busy = [&] {
+    HoldAllSlots hold;
     MatrixSource source_b(data);
-    auto b = BinnedIndex::BuildStreamed(&source_b, parallel);
-    ASSERT_TRUE(b.ok());
-    ExpectSameIndex(*a->index, *b->index);
-  }
+    return BinnedIndex::BuildStreamed(&source_b, options);
+  }();
+  const ForkJoinStats after = GetForkJoinStats();
+  ASSERT_TRUE(busy.ok());
+  ExpectSameIndex(*idle->index, *busy->index);
+  EXPECT_GT(after.regions, before.regions);
+  EXPECT_EQ(after.helper_chunks, before.helper_chunks);
+  EXPECT_EQ(after.inline_regions - before.inline_regions,
+            after.regions - before.regions);
 }
 
 TEST(StreamedBuildTest, RejectsEmptyStreams) {

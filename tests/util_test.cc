@@ -225,7 +225,7 @@ TEST(ThreadPoolTest, RunsAllTasks) {
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(64);
-  ParallelFor(0, 64, [&](int i) { hits[static_cast<size_t>(i)]++; }, 8);
+  ParallelFor(0, 64, [&](int i) { hits[static_cast<size_t>(i)]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

@@ -47,6 +47,7 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_bumping.h"
 #include "reference_metamodel.h"
 #include "shard/coordinator.h"
 #include "shard/source_spec.h"
@@ -660,6 +661,40 @@ KernelResult BenchPlanPbcIdleCores(const PerfFlags& flags) {
   result.optimized_seconds =
       TimeBest(flags.reps, [&] { idle = PlanMethod(spec, d, options); });
   result.identical = busy.alpha == idle.alpha && busy.m == idle.m;
+  return result;
+}
+
+// PRIM with bumping at the paper's CV-fold size: N = 320, m = M/2, the
+// quick tables' Q = 20, against the oracle of tests/reference_bumping.h
+// (a materialized, re-sorted sample per replicate, per-box validation
+// scans, the pairwise Pareto filter). Both run with every fork-join slot
+// held, so the replicates run inline and the speedup is per-replicate
+// work, not idle cores. Boxes and curves must match bit for bit.
+KernelResult BenchBumping(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "bumping_q20";
+  const int n = 320;
+  const Dataset d = RandomData(n, flags.dims, flags.seed + 34);
+  BumpingConfig config;
+  config.q = 20;
+  config.m = std::max(1, flags.dims / 2);
+  result.detail = "N=" + std::to_string(n) +
+                  " d=" + std::to_string(flags.dims) +
+                  " m=" + std::to_string(config.m) + " Q=20 inline";
+  BumpingResult ref, opt;
+  HoldAllSlots hold;
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    ref = reference::RunPrimBumpingReference(d, d, config, flags.seed);
+  });
+  result.optimized_seconds = TimeBest(
+      flags.reps, [&] { opt = RunPrimBumping(d, d, config, flags.seed); });
+  result.identical = ref.boxes == opt.boxes &&
+                     ref.val_curve.size() == opt.val_curve.size();
+  for (size_t i = 0; result.identical && i < ref.val_curve.size(); ++i) {
+    result.identical =
+        ref.val_curve[i].recall == opt.val_curve[i].recall &&
+        ref.val_curve[i].precision == opt.val_curve[i].precision;
+  }
   return result;
 }
 
@@ -1477,6 +1512,7 @@ int main(int argc, char** argv) {
     return BenchTuneAndFitIdleCores(flags, ml::MetamodelKind::kGbt);
   });
   maybe("plan_pbc", [&] { return BenchPlanPbcIdleCores(flags); });
+  maybe("bumping_q20", [&] { return BenchBumping(flags); });
   maybe("gbt_leafwise", [&] { return BenchGbtLeafwise(flags); });
   maybe("engine_coalesced_batch",
         [&] { return BenchEngineCoalescedBatch(flags); });

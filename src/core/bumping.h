@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/column_index.h"
 #include "core/dataset.h"
 #include "core/prim.h"
 
@@ -30,10 +31,20 @@ struct BumpingResult {
 };
 
 /// Runs PRIM with bumping. `seed` drives the bootstrap and feature subsets.
+/// Every replicate is a view over one presorted index of `train`: its
+/// sample's permutations come from `train_index` by row multiplicity
+/// (ColumnIndex::BuildBootstrap), not from a re-sort, and its lifted
+/// trajectory is scored on `val` in one nested pass (TrajectoryStats).
+/// Replicates run on idle cores (ParallelFor); the result does not depend
+/// on how many were idle. Pass a prebuilt index of `train` to share it;
+/// when null, a private one is built.
 BumpingResult RunPrimBumping(const Dataset& train, const Dataset& val,
-                             const BumpingConfig& config, uint64_t seed);
+                             const BumpingConfig& config, uint64_t seed,
+                             const ColumnIndex* train_index = nullptr);
 
-/// Removes boxes dominated in (recall, precision); ties kept once. Exposed
+/// Removes boxes dominated in (recall, precision); of equal points only the
+/// first is kept, and points with a NaN coordinate always stay. Survivors
+/// keep their order. O(n log n): one sort by recall and a sweep. Exposed
 /// for tests.
 void ParetoFilter(std::vector<Box>* boxes, std::vector<PrPoint>* curve);
 

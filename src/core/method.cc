@@ -57,11 +57,11 @@ std::vector<FoldRows> MakeFoldRows(const Dataset& d, int folds,
 struct Fold {
   Dataset train;
   Dataset holdout;
-  std::shared_ptr<const ColumnIndex> index;   // kColumn and up
-  std::shared_ptr<const BinnedIndex> binned;  // kBinned
+  std::shared_ptr<const ColumnIndex> index;
+  std::shared_ptr<const BinnedIndex> binned;  // kBinned only
 };
 
-enum class FoldIndexes { kNone, kColumn, kBinned };
+enum class FoldIndexes { kColumn, kBinned };
 
 std::vector<Fold> MaterializeFolds(const Dataset& d, int folds, uint64_t seed,
                                    FoldIndexes indexes) {
@@ -71,7 +71,6 @@ std::vector<Fold> MaterializeFolds(const Dataset& d, int folds, uint64_t seed,
     Fold& fold = out[static_cast<size_t>(f)];
     fold.train = d.SubsetRows(rows[static_cast<size_t>(f)].train_rows);
     fold.holdout = d.SubsetRows(rows[static_cast<size_t>(f)].test_rows);
-    if (indexes == FoldIndexes::kNone) return;
     fold.index = ColumnIndex::Build(fold.train);
     if (indexes == FoldIndexes::kBinned) {
       fold.binned = BinnedIndex::Build(*fold.index);
@@ -316,16 +315,17 @@ MethodPlan PlanMethod(const MethodSpec& spec, const Dataset& train,
       base.prim.min_points = options.min_points;
       // Fold f's bumping runs use seed 7000 + f for every m.
       const uint64_t cv_seed = DeriveSeed(options.seed, 17);
+      // Every (fold, m) run draws its replicates from the fold's index.
       const std::vector<Fold> folds = MaterializeFolds(
-          train, options.cv_folds, cv_seed, FoldIndexes::kNone);
+          train, options.cv_folds, cv_seed, FoldIndexes::kColumn);
       const std::vector<int> grid = MGrid(dims);
       const std::vector<double> scores =
           FoldMeans(folds, grid.size(), [&](size_t f, size_t g) {
             BumpingConfig config = base;
             config.m = grid[g];
-            const BumpingResult r =
-                RunPrimBumping(folds[f].train, folds[f].train, config,
-                               DeriveSeed(cv_seed, 7000 + f));
+            const BumpingResult r = RunPrimBumping(
+                folds[f].train, folds[f].train, config,
+                DeriveSeed(cv_seed, 7000 + f), folds[f].index.get());
             return PrAucOnData(r.boxes, folds[f].holdout);
           });
       double best_score = -1e300;
@@ -435,15 +435,14 @@ MethodOutput ExecuteMethodPlan(const MethodPlan& plan, const Dataset& train,
   }
 
   // Index the SD dataset once; PRIM and BI scan it column-wise for every
-  // peel/refinement. Only the original dataset goes through the provider
-  // (it is shared across a batch's method variants); REDS-relabeled data is
+  // peel/refinement, and bumping derives every replicate's index from it.
+  // Only the original dataset goes through the provider (it is shared
+  // across a batch's method variants); REDS-relabeled data is
   // request-local, so the kernels build a private index for it instead of
-  // churning the engine cache. Bumping indexes its per-replicate feature
-  // subsets internally.
+  // churning the engine cache.
   std::shared_ptr<const ColumnIndex> sd_index;
   std::shared_ptr<const BinnedIndex> sd_binned;
-  if (options.column_index_provider && !spec.reds &&
-      spec.family != MethodSpec::Family::kPrimBumping) {
+  if (options.column_index_provider && !spec.reds) {
     sd_index = options.column_index_provider(*sd_data);
     if (options.binned_index_provider &&
         spec.family == MethodSpec::Family::kPrim) {
@@ -469,8 +468,9 @@ MethodOutput ExecuteMethodPlan(const MethodPlan& plan, const Dataset& train,
       config.m = plan.m;
       config.prim.alpha = plan.alpha;
       config.prim.min_points = options.min_points;
-      const BumpingResult r = RunPrimBumping(*sd_data, *sd_val, config,
-                                             DeriveSeed(options.seed, 29));
+      const BumpingResult r =
+          RunPrimBumping(*sd_data, *sd_val, config,
+                         DeriveSeed(options.seed, 29), sd_index.get());
       out.trajectory = r.boxes;
       out.last_box = r.BestBox();
       break;

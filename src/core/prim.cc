@@ -143,13 +143,91 @@ class PeelState {
   std::vector<uint8_t> in_box_;           // by row id
 };
 
+// True when every label is exactly 0 or 1: then every label sum is an
+// exact integer, whatever the order of accumulation.
+bool AllZeroOrOne(const double* y, int n) {
+  for (int r = 0; r < n; ++r) {
+    if (y[r] != 0.0 && y[r] != 1.0) return false;
+  }
+  return true;
+}
+
+// Per-bin row counts and label sums of column j with every row in the box:
+// the starting histogram of the binned and streamed peel states. Integer-
+// valued labels are exact in any association, so the dispatched
+// gather-sum (which may reorder) sums them; fractional labels accumulate
+// bin by bin in permutation order -- the sorted kernel's order when bins
+// are single values.
+void InitBinAggregates(const BinnedIndex& binned, int j, const int* sorted,
+                       const double* y, bool integral_labels,
+                       std::vector<int>* counts, std::vector<double>* mass) {
+  const int bins = binned.num_bins(j);
+  counts->resize(static_cast<size_t>(bins));
+  mass->assign(static_cast<size_t>(bins), 0.0);
+  for (int b = 0; b < bins; ++b) {
+    const int begin = binned.bin_begin_rank(j, b);
+    const int len = binned.bin_begin_rank(j, b + 1) - begin;
+    (*counts)[static_cast<size_t>(b)] = len;
+    if (integral_labels) {
+      (*mass)[static_cast<size_t>(b)] = util::GatherSum(y, sorted + begin, len);
+    } else {
+      for (int rank = begin; rank < begin + len; ++rank) {
+        (*mass)[static_cast<size_t>(b)] += y[sorted[rank]];
+      }
+    }
+  }
+}
+
+// Moves a dimension's permutation window [*lo, *hi) past leading and
+// trailing rows that left the box, so later scans start at a live row.
+void TrimWindow(const int* sorted, const uint8_t* in_box, int* lo, int* hi) {
+  while (*lo < *hi && !in_box[sorted[*lo]]) ++*lo;
+  while (*hi > *lo && !in_box[sorted[*hi - 1]]) --*hi;
+}
+
+// Label sum of the first `count` in-box rows of a permutation window that
+// starts at `lo`, accumulated ascending: the sorted kernel's prefix sums,
+// bit for bit. The fractional-label path of the binned and streamed
+// kernels (for single-value bins the streamed permutation is the sorted
+// kernel's order).
+double SumFirstInBox(const int* sorted, const uint8_t* in_box,
+                     const double* y, int lo, int count) {
+  double sum = 0.0;
+  for (int pos = lo, seen = 0; seen < count; ++pos) {
+    if (!in_box[sorted[pos]]) continue;
+    sum += y[sorted[pos]];
+    ++seen;
+  }
+  return sum;
+}
+
+// Label sum of the last `count` in-box rows of a permutation window that
+// ends before `hi`, accumulated ascending like the sorted kernel's suffix
+// sums: step down to the first of them, then add upward.
+double SumLastInBox(const int* sorted, const uint8_t* in_box,
+                    const double* y, int hi, int count) {
+  int start = hi;
+  for (int seen = 0; seen < count;) {
+    if (in_box[sorted[--start]]) ++seen;
+  }
+  double sum = 0.0;
+  for (int pos = start; pos < hi; ++pos) {
+    if (in_box[sorted[pos]]) sum += y[sorted[pos]];
+  }
+  return sum;
+}
+
 // Binned peel state: the quantized counterpart of PeelState. No per-dim
 // sorted in-box views are maintained; instead a per-dimension histogram of
-// in-box counts per BinnedIndex bin locates each peel's boundary bin in
-// O(bins), and short scans of the full-data sorted permutation inside that
-// bin (filtered through the in-box bitmask) refine the exact bound, counts,
-// and removed-mass sums -- in the same value-then-row-id order as the
-// sorted kernel, so every Peel it produces is bit-identical to PeelState's.
+// in-box counts per BinnedIndex bin locates each peel's boundary bin, and
+// short scans of the full-data sorted permutation inside that bin (filtered
+// through the in-box bitmask) refine the exact bound, counts, and
+// removed-mass sums -- in the same value-then-row-id order as the sorted
+// kernel, so every Peel it produces is bit-identical to PeelState's.
+// Histogram walks start at the edge being peeled (InBoxBins): a low-side
+// candidate walks up from the lowest in-box bin and counts the rows below
+// its bound, a high-side one walks down from the highest and counts the
+// rows above it.
 // Applying a peel walks only the window of newly removed rows and
 // decrements M histogram counters per row: O(removed x M) against the
 // sorted kernel's O(N x M) view compaction.
@@ -170,46 +248,33 @@ class BinnedPeelState {
     const int n = train.num_rows();
     lo_rank_.assign(static_cast<size_t>(m), 0);
     hi_rank_.assign(static_cast<size_t>(m), n);
+    lo_bin_.assign(static_cast<size_t>(m), 0);
+    hi_bin_.resize(static_cast<size_t>(m));
     // Hard {0,1} labels make every y sum integer-exact regardless of
     // accumulation order, so removed-mass sums may come straight from the
     // per-bin aggregates (O(bins) per candidate). Fractional labels fall
     // back to ordered scans that replicate the sorted kernel's exact
     // floating-point accumulation sequence.
-    integral_labels_ = true;
-    for (int r = 0; r < n && integral_labels_; ++r) {
-      const double y = train.y(r);
-      integral_labels_ = y == 0.0 || y == 1.0;
-    }
+    integral_labels_ = AllZeroOrOne(train.y_data(), n);
     bin_count_.resize(static_cast<size_t>(m));
     bin_pos_.resize(static_cast<size_t>(m));
     for (int j = 0; j < m; ++j) {
-      std::vector<int>& counts = bin_count_[static_cast<size_t>(j)];
-      std::vector<double>& pos = bin_pos_[static_cast<size_t>(j)];
-      counts.resize(static_cast<size_t>(binned.num_bins(j)));
-      pos.assign(static_cast<size_t>(binned.num_bins(j)), 0.0);
-      const std::vector<int>& sorted = index.sorted_rows(j);
-      for (int b = 0; b < binned.num_bins(j); ++b) {
-        const int begin = binned.bin_begin_rank(j, b);
-        const int len = binned.bin_begin_rank(j, b + 1) - begin;
-        counts[static_cast<size_t>(b)] = len;
-        if (integral_labels_) {
-          // Integer-valued sums are exact in any association, so the
-          // dispatched gather-sum (which may reorder) is legal here.
-          pos[static_cast<size_t>(b)] =
-              util::GatherSum(train.y_data(), sorted.data() + begin, len);
-        } else {
-          for (int rank = begin; rank < begin + len; ++rank) {
-            pos[static_cast<size_t>(b)] +=
-                train.y(sorted[static_cast<size_t>(rank)]);
-          }
-        }
-      }
+      hi_bin_[static_cast<size_t>(j)] = binned.num_bins(j) - 1;
+      InitBinAggregates(binned, j, index.sorted_rows(j).data(),
+                        train.y_data(), integral_labels_,
+                        &bin_count_[static_cast<size_t>(j)],
+                        &bin_pos_[static_cast<size_t>(j)]);
     }
   }
 
   // Mirrors PeelState::MakeCandidate decision for decision: the bound is
   // the same order statistic, tie-swallowed cuts advance past tied blocks
-  // the same way, and removed sums accumulate in the same order.
+  // the same way, and removed sums are the same numbers. The high side is
+  // the low side's mirror image, counted down from the top: its bound is
+  // the in-box row k places below the largest, and the rows above it go.
+  // One histogram walk finds the bound's bin; the bins it passed are
+  // exactly the removed rows outside that bin, so the count and label sum
+  // need no second walk.
   Peel MakeCandidate(int dim, bool low_side, double alpha,
                      const BoxStats& in_stats) const {
     Peel peel;
@@ -217,47 +282,41 @@ class BinnedPeelState {
     const int k = std::max(1, static_cast<int>(std::floor(alpha * n)));
     if (k >= n) return peel;  // would empty the box
 
-    double bound;
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
-    if (low_side) {
-      bound = ValueAtInBoxRank(dim, k);
-      int p = CountLess(dim, bound);
-      if (p == 0) {
-        // Ties swallowed the whole cut: move past the tied block.
-        const int q = CountLessEq(dim, bound);
-        if (q >= n) return peel;  // dimension is constant in box
-        bound = ValueAtInBoxRank(dim, q);
-        p = q;
-      }
-      removed_n = p;
-      removed_pos =
-          integral_labels_ ? PrefixSumFast(dim, p) : SumYFirst(dim, p);
-    } else {
-      bound = ValueAtInBoxRank(dim, n - 1 - k);
-      int q = CountLessEq(dim, bound);
-      if (q >= n) {
-        const int p = CountLess(dim, bound);
-        if (p == 0) return peel;  // dimension is constant in box
-        bound = ValueAtInBoxRank(dim, p - 1);
-        q = p;
-      }
-      removed_n = n - q;
-      // Integral labels: the suffix sum is the exact in-box total minus the
-      // exact prefix sum (both integers).
-      removed_pos = integral_labels_
-                        ? in_stats.n_pos - PrefixSumFast(dim, q)
-                        : SumYTail(dim, q);
+    const bool from_top = !low_side;
+    EdgeRow at = RowAtEdgeRank(dim, k, from_top);
+    // Rows strictly beyond the bound are cut off.
+    int removed =
+        at.passed + BinRowsBeyond(dim, at.bin, at.value, from_top, true);
+    if (removed == 0) {
+      // Ties swallowed the whole cut (so no bin was passed): move past the
+      // tied block.
+      const int q = BinRowsBeyond(dim, at.bin, at.value, from_top, false);
+      if (q >= n) return peel;  // dimension is constant in box
+      at = RowAtEdgeRank(dim, q, from_top);
+      removed = q;  // no values lie strictly between the old and new bound
     }
-    if (removed_n >= n) return peel;  // would empty the box
+    if (removed >= n) return peel;  // would empty the box
+    double removed_pos;
+    if (integral_labels_) {
+      removed_pos = at.passed_mass +
+                    BinMassNearEdge(dim, at.bin, removed - at.passed, from_top);
+    } else {
+      const int* sorted = index_.sorted_rows(dim).data();
+      removed_pos =
+          low_side
+              ? SumFirstInBox(sorted, in_box_.data(), train_.y_data(),
+                              lo_rank_[static_cast<size_t>(dim)], removed)
+              : SumLastInBox(sorted, in_box_.data(), train_.y_data(),
+                             hi_rank_[static_cast<size_t>(dim)], removed);
+    }
 
     peel.dim = dim;
     peel.low_side = low_side;
-    peel.bound = bound;
-    peel.removed_n = removed_n;
+    peel.bound = at.value;
+    peel.removed_n = removed;
     peel.removed_pos = removed_pos;
     peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
+        (in_stats.n_pos - removed_pos) / (in_stats.n - removed);
     return peel;
   }
 
@@ -285,18 +344,16 @@ class BinnedPeelState {
     stats->n -= peel.removed_n;
     stats->n_pos -= peel.removed_pos;
     // Trim every dimension's window past leading/trailing holes so later
-    // scans start at a live row; amortized O(N) per dimension over the run.
+    // scans start at a live row (amortized O(N) per dimension over the
+    // run), and re-anchor the histogram walks at the window's edge bins.
     for (size_t j = 0; j < bin_count_.size(); ++j) {
       const std::vector<int>& s = index_.sorted_rows(static_cast<int>(j));
-      int& lo = lo_rank_[j];
-      int& hi = hi_rank_[j];
-      while (lo < hi && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(lo)])]) {
-        ++lo;
-      }
-      while (hi > lo && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(hi - 1)])]) {
-        --hi;
+      TrimWindow(s.data(), in_box_.data(), &lo_rank_[j], &hi_rank_[j]);
+      if (lo_rank_[j] < hi_rank_[j]) {
+        lo_bin_[j] = binned_.code(static_cast<int>(j),
+                                  s[static_cast<size_t>(lo_rank_[j])]);
+        hi_bin_[j] = binned_.code(static_cast<int>(j),
+                                  s[static_cast<size_t>(hi_rank_[j] - 1)]);
       }
     }
   }
@@ -314,180 +371,104 @@ class BinnedPeelState {
     }
   }
 
-  // Sum of y over the first `count` in-box rows of `dim` in value order,
-  // assembled from whole-bin aggregates plus an exact scan of the boundary
-  // bin. Only valid for integral labels, where the result equals the
-  // sequential prefix sum bit-for-bit.
-  double PrefixSumFast(int dim, int count) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<double>& pos_sums = bin_pos_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    int cum = 0;
-    double sum = 0.0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      if (cum + counts[b] <= count) {
-        cum += counts[b];
-        sum += pos_sums[b];
-        if (cum == count) return sum;
-        continue;
-      }
-      const int need = count - cum;
-      const int begin =
-          std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                   lo_rank_[static_cast<size_t>(dim)]);
-      const int end =
-          std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                   hi_rank_[static_cast<size_t>(dim)]);
-      // need < counts[b], so the boundary bin's segment holds every row the
-      // masked prefix walk takes; integral labels make the dispatched sum
-      // exact (util/simd.h).
-      sum += util::MaskedPrefixSum(train_.y_data(), in_box_.data(),
-                                   sorted.data() + begin, end - begin, need);
-      return sum;
-    }
-    return sum;
+  InBoxBins Bins(int dim) const {
+    const size_t d = static_cast<size_t>(dim);
+    return {bin_count_[d].data(), bin_pos_[d].data(), lo_bin_[d], hi_bin_[d]};
   }
 
-  // Value of the rank-th in-box row of `dim` (ascending by value, ties by
-  // row id): prefix counts over the bin histogram pick the bin, then a scan
-  // of its permutation segment finds the row.
-  double ValueAtInBoxRank(int dim, int rank) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      const int c = counts[b];
-      if (cum + c <= rank) {
-        cum += c;
-        continue;
-      }
-      int need = rank - cum;
-      const int begin =
-          std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                   lo_rank_[static_cast<size_t>(dim)]);
-      const int end =
-          std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                   hi_rank_[static_cast<size_t>(dim)]);
-      for (int pos = begin; pos < end; ++pos) {
-        const int r = sorted[static_cast<size_t>(pos)];
-        if (!in_box_[static_cast<size_t>(r)]) continue;
-        if (need == 0) return col[static_cast<size_t>(r)];
-        --need;
-      }
-      break;
-    }
-    assert(false && "in-box rank out of range");
-    return 0.0;
+  // Permutation ranks of bin b of `dim` inside the live window: they hold
+  // every in-box row of the bin.
+  int SegmentBegin(int dim, int b) const {
+    return std::max(binned_.bin_begin_rank(dim, b),
+                    lo_rank_[static_cast<size_t>(dim)]);
+  }
+  int SegmentEnd(int dim, int b) const {
+    return std::min(binned_.bin_begin_rank(dim, b + 1),
+                    hi_rank_[static_cast<size_t>(dim)]);
   }
 
-  // Number of in-box rows of `dim` with value < v (v is a data value):
-  // whole bins below v come from the histogram, the boundary bin from an
-  // exact scan.
-  int CountLess(int dim, double v) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      if (binned_.bin_last(dim, static_cast<int>(b)) >= v) {
-        if (binned_.bin_first(dim, static_cast<int>(b)) >= v) return cum;
-        const int begin =
-            std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                     lo_rank_[static_cast<size_t>(dim)]);
-        const int end =
-            std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                     hi_rank_[static_cast<size_t>(dim)]);
-        // The segment is value-sorted, so a full-segment masked count
-        // equals the early-break walk; dispatched (util/simd.h).
-        cum += util::MaskedCountBelow(col.data(), in_box_.data(),
-                                      sorted.data() + begin, end - begin, v,
-                                      /*strict=*/true);
-        return cum;
-      }
-      cum += counts[b];
-    }
-    return cum;
+  // In-box rows of bin b of `dim` below v (< v when strict, else <= v).
+  // The segment is value-sorted, so a full-segment masked count equals the
+  // early-break walk; dispatched (util/simd.h).
+  int MaskedCount(int dim, int b, double v, bool strict) const {
+    const int begin = SegmentBegin(dim, b);
+    return util::MaskedCountBelow(index_.column(dim).data(), in_box_.data(),
+                                  index_.sorted_rows(dim).data() + begin,
+                                  SegmentEnd(dim, b) - begin, v, strict);
   }
 
-  // Number of in-box rows of `dim` with value <= v.
-  int CountLessEq(int dim, double v) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
+  // The in-box row `rank` places from the low edge of `dim` (ascending by
+  // value, ties by row id), or from the top when `from_top`: its value, its
+  // bin, and the rows and label mass of the bins between it and the edge.
+  struct EdgeRow {
+    double value = 0.0;
+    int bin = 0;
+    int passed = 0;
+    double passed_mass = 0.0;
+  };
+  EdgeRow RowAtEdgeRank(int dim, int rank, bool from_top) const {
+    EdgeRow at;
+    at.bin = Bins(dim).BinAtRank(rank, from_top, &at.passed, &at.passed_mass);
     const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      if (binned_.bin_last(dim, static_cast<int>(b)) >= v) {
-        if (binned_.bin_first(dim, static_cast<int>(b)) > v) return cum;
-        const int begin =
-            std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                     lo_rank_[static_cast<size_t>(dim)]);
-        const int end =
-            std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                     hi_rank_[static_cast<size_t>(dim)]);
-        // Value-sorted segment: full-segment masked count == early-break
-        // walk, as in CountLess.
-        cum += util::MaskedCountBelow(col.data(), in_box_.data(),
-                                      sorted.data() + begin, end - begin, v,
-                                      /*strict=*/false);
-        return cum;
-      }
-      cum += counts[b];
-    }
-    return cum;
-  }
-
-  // Sum of y over the first `count` in-box rows of `dim` in value order --
-  // the exact accumulation order of the sorted kernel's prefix sums.
-  double SumYFirst(int dim, int count) const {
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    double sum = 0.0;
-    int seen = 0;
-    for (int pos = lo_rank_[static_cast<size_t>(dim)]; seen < count; ++pos) {
+    const int begin = SegmentBegin(dim, at.bin);
+    const int end = SegmentEnd(dim, at.bin);
+    // The bin holds more than rank - passed in-box rows; skip that many.
+    int need = rank - at.passed;
+    const int step = from_top ? -1 : 1;
+    for (int pos = from_top ? end - 1 : begin; pos >= begin && pos < end;
+         pos += step) {
       const int r = sorted[static_cast<size_t>(pos)];
       if (!in_box_[static_cast<size_t>(r)]) continue;
-      sum += train_.y(r);
-      ++seen;
+      if (need-- == 0) {
+        at.value = index_.column(dim)[static_cast<size_t>(r)];
+        return at;
+      }
     }
-    return sum;
+    assert(false && "in-box rank out of range");
+    return at;
   }
 
-  // Sum of y over in-box rows of `dim` from in-box rank `from_rank` to the
-  // top, accumulated ascending like the sorted kernel's suffix sums.
-  double SumYTail(int dim, int from_rank) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    // Locate the permutation position of in-box rank from_rank, then sum
-    // ascending through the remaining window.
-    int cum = 0;
-    int start = hi_rank_[static_cast<size_t>(dim)];
-    for (size_t b = 0; b < counts.size(); ++b) {
-      const int c = counts[b];
-      if (cum + c <= from_rank) {
-        cum += c;
-        continue;
-      }
-      int need = from_rank - cum;
-      const int begin =
-          std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                   lo_rank_[static_cast<size_t>(dim)]);
-      for (int pos = begin;; ++pos) {
-        const int r = sorted[static_cast<size_t>(pos)];
-        if (!in_box_[static_cast<size_t>(r)]) continue;
-        if (need == 0) {
-          start = pos;
-          break;
-        }
-        --need;
-      }
-      break;
+  // In-box rows of bin b of `dim` beyond v, a value in the bin's range:
+  // below v from the low edge or above it from the top, strictly when
+  // `strict`. Together with the rows of the bins between b and the edge
+  // this is the full count beyond v, because every bin nearer the edge
+  // lies wholly beyond v and every farther one wholly short of it.
+  int BinRowsBeyond(int dim, int b, double v, bool from_top,
+                    bool strict) const {
+    const int rows =
+        bin_count_[static_cast<size_t>(dim)][static_cast<size_t>(b)];
+    const double first = binned_.bin_first(dim, b);
+    const double last = binned_.bin_last(dim, b);
+    if (!from_top) {
+      if (strict ? last < v : last <= v) return rows;
+      if (strict ? first >= v : first > v) return 0;
+      return MaskedCount(dim, b, v, strict);
     }
-    double sum = 0.0;
-    for (int pos = start; pos < hi_rank_[static_cast<size_t>(dim)]; ++pos) {
-      const int r = sorted[static_cast<size_t>(pos)];
-      if (in_box_[static_cast<size_t>(r)]) sum += train_.y(r);
-    }
-    return sum;
+    if (strict ? first > v : first >= v) return rows;
+    if (strict ? last <= v : last < v) return 0;
+    // The bin's rows not above v are the ones below it.
+    return rows - MaskedCount(dim, b, v, /*strict=*/!strict);
+  }
+
+  // Label sum of the `take` in-box rows of bin b of `dim` nearest the low
+  // edge, or the top when `from_top`, with take below the bin's row count:
+  // a masked prefix sum of the segment, taken directly on the low side and
+  // subtracted from the bin total on the high side. Only valid for
+  // integral labels, where every partial sum is an exact integer, so the
+  // removed mass equals the sequential sum bit for bit.
+  double BinMassNearEdge(int dim, int b, int take, bool from_top) const {
+    if (take == 0) return 0.0;
+    const int rows =
+        bin_count_[static_cast<size_t>(dim)][static_cast<size_t>(b)];
+    const int begin = SegmentBegin(dim, b);
+    const double low_part = util::MaskedPrefixSum(
+        train_.y_data(), in_box_.data(),
+        index_.sorted_rows(dim).data() + begin, SegmentEnd(dim, b) - begin,
+        from_top ? rows - take : take);
+    return from_top
+               ? bin_pos_[static_cast<size_t>(dim)][static_cast<size_t>(b)] -
+                     low_part
+               : low_part;
   }
 
   const Dataset& train_;
@@ -498,6 +479,8 @@ class BinnedPeelState {
   bool integral_labels_ = false;           // every y is exactly 0 or 1
   std::vector<int> lo_rank_;               // [dim] first in-window perm rank
   std::vector<int> hi_rank_;               // [dim] one past last window rank
+  std::vector<int> lo_bin_;                // [dim] bin of lo_rank_
+  std::vector<int> hi_bin_;                // [dim] bin of hi_rank_ - 1
   std::vector<std::vector<int>> bin_count_;   // [dim][bin] in-box rows
   std::vector<std::vector<double>> bin_pos_;  // [dim][bin] in-box y sum
 };
@@ -505,13 +488,15 @@ class BinnedPeelState {
 // Streamed peel state: PRIM on the quantized plane alone. The dataset
 // exists only as BinnedIndex codes, the index's own code-ordered
 // permutation, and the label vector -- no raw doubles, no ColumnIndex.
-// Candidates treat bins as atomic value blocks: the boundary bin replaces
-// the exact order statistic and bounds snap to bin_first/bin_last. With
-// one distinct value per bin this reproduces PeelState's decisions exactly
-// (same candidate counts, same tie handling, same removed sums); with
-// wider bins every cut is within the binning's rank error of the exact
-// kernel's. Apply mirrors BinnedPeelState: walk only the removed window of
-// the peeled dimension's permutation, decrementing per-bin aggregates.
+// Candidates treat bins as atomic value blocks (MakeBinCut): the boundary
+// bin replaces the exact order statistic and bounds snap to
+// bin_first/bin_last. With one distinct value per bin this reproduces
+// PeelState's decisions exactly (same candidate counts, same tie handling,
+// same removed sums); with wider bins every cut is within the binning's
+// rank error of the exact kernel's. Histogram walks and Apply mirror
+// BinnedPeelState: walks start at the peeled edge, and Apply walks only
+// the removed window of the peeled dimension's permutation, decrementing
+// per-bin aggregates.
 class CodePeelState {
  public:
   CodePeelState(const BinnedIndex& binned, const std::vector<double>& y)
@@ -524,38 +509,20 @@ class CodePeelState {
     const int n = binned.num_rows();
     lo_rank_.assign(static_cast<size_t>(m), 0);
     hi_rank_.assign(static_cast<size_t>(m), n);
+    lo_bin_.assign(static_cast<size_t>(m), 0);
+    hi_bin_.resize(static_cast<size_t>(m));
     // As in BinnedPeelState: integral {0,1} labels make every removed-mass
     // sum integer-exact from per-bin aggregates; fractional labels fall
     // back to ordered permutation scans, which accumulate in (bin, row id)
     // order -- the sorted kernel's exact order when bins are single values.
-    integral_labels_ = true;
-    for (int r = 0; r < n && integral_labels_; ++r) {
-      integral_labels_ = y[static_cast<size_t>(r)] == 0.0 ||
-                         y[static_cast<size_t>(r)] == 1.0;
-    }
+    integral_labels_ = AllZeroOrOne(y.data(), n);
     bin_count_.resize(static_cast<size_t>(m));
     bin_pos_.resize(static_cast<size_t>(m));
     for (int j = 0; j < m; ++j) {
-      std::vector<int>& counts = bin_count_[static_cast<size_t>(j)];
-      std::vector<double>& pos = bin_pos_[static_cast<size_t>(j)];
-      counts.resize(static_cast<size_t>(binned.num_bins(j)));
-      pos.assign(static_cast<size_t>(binned.num_bins(j)), 0.0);
-      const ColumnView<int> sorted = binned.sorted_rows(j);
-      for (int b = 0; b < binned.num_bins(j); ++b) {
-        const int begin = binned.bin_begin_rank(j, b);
-        const int len = binned.bin_begin_rank(j, b + 1) - begin;
-        counts[static_cast<size_t>(b)] = len;
-        if (integral_labels_) {
-          // Reordering the gather-sum is exact for integer-valued labels.
-          pos[static_cast<size_t>(b)] =
-              util::GatherSum(y.data(), sorted.data() + begin, len);
-        } else {
-          for (int rank = begin; rank < begin + len; ++rank) {
-            pos[static_cast<size_t>(b)] +=
-                y[static_cast<size_t>(sorted[static_cast<size_t>(rank)])];
-          }
-        }
-      }
+      hi_bin_[static_cast<size_t>(j)] = binned.num_bins(j) - 1;
+      InitBinAggregates(binned, j, binned.sorted_rows(j).data(), y.data(),
+                        integral_labels_, &bin_count_[static_cast<size_t>(j)],
+                        &bin_pos_[static_cast<size_t>(j)]);
     }
   }
 
@@ -566,53 +533,30 @@ class CodePeelState {
     const int k = std::max(1, static_cast<int>(std::floor(alpha * n)));
     if (k >= n) return peel;  // would empty the box
 
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
-    int b;
-    if (low_side) {
-      b = BinAtInBoxRank(dim, k);
-      int p;
-      double pos_below;
-      PrefixBelow(dim, b, &p, &pos_below);
-      if (p == 0) {
-        // The cut was swallowed by the boundary bin: move past it, exactly
-        // like the exact kernel moves past a tied block.
-        const int q =
-            p + bin_count_[static_cast<size_t>(dim)][static_cast<size_t>(b)];
-        if (q >= n) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, q);
-        PrefixBelow(dim, b, &p, &pos_below);
-      }
-      removed_n = p;
-      removed_pos = integral_labels_ ? pos_below : SumYFirst(dim, p);
-      peel.bound = binned_.bin_first(dim, b);
-    } else {
-      b = BinAtInBoxRank(dim, n - 1 - k);
-      int q;
-      double pos_through;
-      PrefixThrough(dim, b, &q, &pos_through);
-      if (q >= n) {
-        int p;
-        double ignored;
-        PrefixBelow(dim, b, &p, &ignored);
-        if (p == 0) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, p - 1);
-        PrefixThrough(dim, b, &q, &pos_through);
-      }
-      removed_n = n - q;
-      removed_pos = integral_labels_ ? in_stats.n_pos - pos_through
-                                     : SumYTail(dim, q);
-      peel.bound = binned_.bin_last(dim, b);
+    const size_t d = static_cast<size_t>(dim);
+    const BinCut cut = MakeBinCut(
+        {bin_count_[d].data(), bin_pos_[d].data(), lo_bin_[d], hi_bin_[d]},
+        n, k, low_side);
+    if (cut.bin < 0) return peel;  // dimension is constant in box
+    if (cut.removed >= n) return peel;  // would empty the box
+    double removed_pos = cut.removed_mass;
+    if (!integral_labels_) {
+      const int* sorted = binned_.sorted_rows(dim).data();
+      removed_pos = low_side ? SumFirstInBox(sorted, in_box_.data(), y_.data(),
+                                             lo_rank_[d], cut.removed)
+                             : SumLastInBox(sorted, in_box_.data(), y_.data(),
+                                            hi_rank_[d], cut.removed);
     }
-    if (removed_n >= n) return peel;  // would empty the box
 
     peel.dim = dim;
     peel.low_side = low_side;
-    peel.bin = b;
-    peel.removed_n = removed_n;
+    peel.bound = low_side ? binned_.bin_first(dim, cut.bin)
+                          : binned_.bin_last(dim, cut.bin);
+    peel.bin = cut.bin;
+    peel.removed_n = cut.removed;
     peel.removed_pos = removed_pos;
     peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
+        (in_stats.n_pos - removed_pos) / (in_stats.n - cut.removed);
     return peel;
   }
 
@@ -637,15 +581,12 @@ class CodePeelState {
     stats->n_pos -= peel.removed_pos;
     for (size_t j = 0; j < bin_count_.size(); ++j) {
       const ColumnView<int> s = binned_.sorted_rows(static_cast<int>(j));
-      int& lo = lo_rank_[j];
-      int& hi = hi_rank_[j];
-      while (lo < hi && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(lo)])]) {
-        ++lo;
-      }
-      while (hi > lo && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(hi - 1)])]) {
-        --hi;
+      TrimWindow(s.data(), in_box_.data(), &lo_rank_[j], &hi_rank_[j]);
+      if (lo_rank_[j] < hi_rank_[j]) {
+        lo_bin_[j] = binned_.code(static_cast<int>(j),
+                                  s[static_cast<size_t>(lo_rank_[j])]);
+        hi_bin_[j] = binned_.code(static_cast<int>(j),
+                                  s[static_cast<size_t>(hi_rank_[j] - 1)]);
       }
     }
   }
@@ -663,67 +604,6 @@ class CodePeelState {
     }
   }
 
-  // Bin holding the rank-th in-box row of `dim` (ascending by bin).
-  int BinAtInBoxRank(int dim, int rank) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      cum += counts[b];
-      if (cum > rank) return static_cast<int>(b);
-    }
-    assert(false && "in-box rank out of range");
-    return static_cast<int>(counts.size()) - 1;
-  }
-
-  // In-box rows and label mass in bins strictly below b.
-  void PrefixBelow(int dim, int b, int* count, double* pos) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<double>& pos_sums = bin_pos_[static_cast<size_t>(dim)];
-    *count = 0;
-    *pos = 0.0;
-    for (int i = 0; i < b; ++i) {
-      *count += counts[static_cast<size_t>(i)];
-      *pos += pos_sums[static_cast<size_t>(i)];
-    }
-  }
-
-  // In-box rows and label mass in bins up to and including b.
-  void PrefixThrough(int dim, int b, int* count, double* pos) const {
-    PrefixBelow(dim, b + 1, count, pos);
-  }
-
-  // Sum of y over the first `count` in-box rows of `dim` in (bin, row id)
-  // order -- the sorted kernel's exact accumulation order for single-value
-  // bins. Fractional-label path only.
-  double SumYFirst(int dim, int count) const {
-    const ColumnView<int> sorted = binned_.sorted_rows(dim);
-    double sum = 0.0;
-    int seen = 0;
-    for (int pos = lo_rank_[static_cast<size_t>(dim)]; seen < count; ++pos) {
-      const int r = sorted[static_cast<size_t>(pos)];
-      if (!in_box_[static_cast<size_t>(r)]) continue;
-      sum += y_[static_cast<size_t>(r)];
-      ++seen;
-    }
-    return sum;
-  }
-
-  // Sum of y over in-box rows of `dim` from in-box rank `from_rank` up,
-  // accumulated ascending. Fractional-label path only.
-  double SumYTail(int dim, int from_rank) const {
-    const ColumnView<int> sorted = binned_.sorted_rows(dim);
-    double sum = 0.0;
-    int seen = 0;
-    for (int pos = lo_rank_[static_cast<size_t>(dim)];
-         pos < hi_rank_[static_cast<size_t>(dim)]; ++pos) {
-      const int r = sorted[static_cast<size_t>(pos)];
-      if (!in_box_[static_cast<size_t>(r)]) continue;
-      if (seen >= from_rank) sum += y_[static_cast<size_t>(r)];
-      ++seen;
-    }
-    return sum;
-  }
-
   const BinnedIndex& binned_;
   const std::vector<double>& y_;
   std::vector<uint8_t> in_box_;            // by row id
@@ -731,6 +611,8 @@ class CodePeelState {
   bool integral_labels_ = false;           // every y is exactly 0 or 1
   std::vector<int> lo_rank_;               // [dim] first in-window perm rank
   std::vector<int> hi_rank_;               // [dim] one past last window rank
+  std::vector<int> lo_bin_;                // [dim] bin of lo_rank_
+  std::vector<int> hi_bin_;                // [dim] bin of hi_rank_ - 1
   std::vector<std::vector<int>> bin_count_;   // [dim][bin] in-box rows
   std::vector<std::vector<double>> bin_pos_;  // [dim][bin] in-box y sum
 };
@@ -861,6 +743,16 @@ PrimResult RunPrim(const Dataset& train, const Dataset& val,
   assert(train_index->num_rows() == train.num_rows());
   assert(train_index->num_cols() == train.num_cols());
 
+  // Validating on the training data itself with {0,1} labels: every
+  // validation count and label sum equals the training one exactly, so the
+  // loop mirrors the training stats (its null-val case) instead of cutting
+  // the same rows a second time. Fractional labels keep the separate
+  // validation walk, whose row-by-row subtraction rounds differently.
+  const Dataset* peel_val = &val;
+  if (&val == &train && AllZeroOrOne(train.y_data(), train.num_rows())) {
+    peel_val = nullptr;
+  }
+
   PrimResult result;
   if (config.backend == PrimPeelBackend::kBinned) {
     std::shared_ptr<const BinnedIndex> owned_binned;
@@ -874,13 +766,15 @@ PrimResult RunPrim(const Dataset& train, const Dataset& val,
     obs::Span span("prim.peel");
     result = RunPeelingPhase(train.num_cols(),
                              static_cast<double>(train.num_rows()),
-                             train.TotalPositive(), &val, config, &state);
+                             train.TotalPositive(), peel_val, config,
+                             &state);
   } else {
     PeelState state(train, *train_index);
     obs::Span span("prim.peel");
     result = RunPeelingPhase(train.num_cols(),
                              static_cast<double>(train.num_rows()),
-                             train.TotalPositive(), &val, config, &state);
+                             train.TotalPositive(), peel_val, config,
+                             &state);
   }
 
   if (config.paste) {

@@ -7,6 +7,7 @@
 #define REDS_CORE_PRIM_LOOP_H_
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,77 @@ struct Peel {
   double removed_pos = 0.0;
   double precision_after = -1.0;
 };
+
+// One dimension's in-box bin histogram, walked from the edge a query is
+// near. Every in-box row of the dimension lies in bins [lo_bin, hi_bin]
+// (the bins of its first and last live rows), so low-side queries walk up
+// from lo_bin and high-side queries walk down from hi_bin. A peel cuts
+// about an alpha share off one edge, so a walk crosses the bins of that
+// share instead of every bin below it; bins outside [lo_bin, hi_bin] hold
+// no in-box row, so every count equals the one a walk from bin 0 gives.
+// High-side cuts count rows down from the top; that equals n minus the
+// count up from the bottom only on NaN-free columns, which
+// ColumnIndex::Build's comparator already requires. Shared by the binned,
+// streamed and fleet peel states so their walks cannot drift apart.
+struct InBoxBins {
+  const int* count = nullptr;    // [bin] in-box rows
+  const double* mass = nullptr;  // [bin] in-box label sum
+  int lo_bin = 0;
+  int hi_bin = -1;
+
+  // Bin holding the in-box row `rank` places from the low edge, or from
+  // the top edge when `from_top`. *passed and *passed_mass receive the rows
+  // and label mass of the bins walked past (all bins below that bin, or
+  // all bins above it); the mass is exact for {0,1} labels only.
+  int BinAtRank(int rank, bool from_top, int* passed,
+                double* passed_mass) const {
+    int cum = 0;
+    double sum = 0.0;
+    int b = from_top ? hi_bin : lo_bin;
+    if (from_top) {
+      for (; b > lo_bin && cum + count[b] <= rank; --b) {
+        cum += count[b];
+        sum += mass[b];
+      }
+    } else {
+      for (; b < hi_bin && cum + count[b] <= rank; ++b) {
+        cum += count[b];
+        sum += mass[b];
+      }
+    }
+    assert(cum + count[b] > rank && "in-box rank out of range");
+    *passed = cum;
+    *passed_mass = sum;
+    return b;
+  }
+};
+
+// Peel candidate of the bin-atomic kernels (streamed and fleet): bins are
+// indivisible value blocks. The cut removes the bins that lie wholly
+// between the edge and the in-box row k places from it; when that removes
+// nothing (the edge bin alone holds more than k rows), it moves past the
+// edge bin, the way the exact kernels move past a tied block.
+struct BinCut {
+  int bin = -1;               // bin the new bound comes from; -1: no cut
+  int removed = 0;            // in-box rows cut off
+  double removed_mass = 0.0;  // their label sum (exact for {0,1} labels)
+};
+
+inline BinCut MakeBinCut(const InBoxBins& bins, int n, int k, bool low_side) {
+  BinCut cut;
+  int passed;
+  double mass;
+  int b = bins.BinAtRank(k, !low_side, &passed, &mass);
+  if (passed == 0) {
+    const int edge = bins.count[b];
+    if (edge >= n) return cut;  // dimension is constant in box
+    b = bins.BinAtRank(edge, !low_side, &passed, &mass);
+  }
+  cut.bin = b;
+  cut.removed = passed;
+  cut.removed_mass = mass;
+  return cut;
+}
 
 // The peeling loop, generic over the peel-state backend (all backends
 // expose the same MakeCandidate/Apply interface and produce bit-identical

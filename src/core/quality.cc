@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace reds {
 
@@ -46,12 +47,96 @@ double PrAuc(std::vector<PrPoint> points) {
   return auc;
 }
 
+namespace {
+
+// A box bound a row must satisfy, Box::Contains' test on one dimension.
+struct Bound {
+  int dim;
+  double lo;
+  double hi;
+};
+
+// Keeps the rows of `inside` that satisfy every bound, in order, and
+// returns their stats: n is their count, n_pos their label sum in
+// ascending row order. A peeling step moves one bound, so the one-bound
+// case gets its own loop.
+template <bool kOneBound>
+BoxStats FilterRows(const Dataset& d, const std::vector<Bound>& tested,
+                    std::vector<int>* inside) {
+  const double* xs = d.num_rows() > 0 ? d.row(0) : nullptr;
+  const size_t stride = static_cast<size_t>(d.num_cols());
+  const Bound one = kOneBound ? tested[0] : Bound{0, 0.0, 0.0};
+  BoxStats stats;
+  size_t kept = 0;
+  for (const int r : *inside) {
+    const double* x = xs + static_cast<size_t>(r) * stride;
+    bool keep = true;
+    if (kOneBound) {
+      keep = !((x[one.dim] < one.lo) | (x[one.dim] > one.hi));
+    } else {
+      for (const Bound& b : tested) {
+        keep &= !((x[b.dim] < b.lo) | (x[b.dim] > b.hi));
+      }
+    }
+    (*inside)[kept] = r;
+    if (keep) {
+      ++kept;
+      stats.n_pos += d.y(r);
+    }
+  }
+  inside->resize(kept);
+  stats.n = static_cast<double>(kept);
+  return stats;
+}
+
+}  // namespace
+
+std::vector<BoxStats> TrajectoryStats(const Dataset& d,
+                                      const std::vector<Box>& boxes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<BoxStats> out;
+  out.reserve(boxes.size());
+  std::vector<int> inside;    // rows inside the previous box, ascending
+  std::vector<Bound> tested;  // bounds a row of `inside` may violate
+  for (size_t k = 0; k < boxes.size(); ++k) {
+    const Box& box = boxes[k];
+    assert(box.dim() == d.num_cols());
+    // Nested in the previous box: only the bounds that moved can exclude
+    // one of its rows. Otherwise every row is tested on every bounded
+    // dimension; [-inf, +inf] excludes no value, NaN included.
+    bool nested = k > 0;
+    tested.clear();
+    for (int j = 0; nested && j < box.dim(); ++j) {
+      const Box& prev = boxes[k - 1];
+      if (!(box.lo(j) >= prev.lo(j) && box.hi(j) <= prev.hi(j))) {
+        nested = false;
+      } else if (box.lo(j) != prev.lo(j) || box.hi(j) != prev.hi(j)) {
+        tested.push_back({j, box.lo(j), box.hi(j)});
+      }
+    }
+    if (!nested) {
+      tested.clear();
+      for (int j = 0; j < box.dim(); ++j) {
+        if (box.lo(j) != -kInf || box.hi(j) != kInf) {
+          tested.push_back({j, box.lo(j), box.hi(j)});
+        }
+      }
+      inside.resize(static_cast<size_t>(d.num_rows()));
+      for (int r = 0; r < d.num_rows(); ++r) {
+        inside[static_cast<size_t>(r)] = r;
+      }
+    }
+    out.push_back(tested.size() == 1 ? FilterRows<true>(d, tested, &inside)
+                                     : FilterRows<false>(d, tested, &inside));
+  }
+  return out;
+}
+
 double PrAucOnData(const std::vector<Box>& boxes, const Dataset& d) {
   const double total_pos = d.TotalPositive();
   std::vector<PrPoint> points;
   points.reserve(boxes.size());
-  for (const Box& b : boxes) {
-    const BoxStats stats = ComputeBoxStats(d, b);
+  for (const BoxStats& stats : TrajectoryStats(d, boxes)) {
     points.push_back({Recall(stats, total_pos), Precision(stats)});
   }
   return PrAuc(std::move(points));

@@ -32,7 +32,19 @@ struct PrPoint {
 /// integrated by trapezoids. Higher is better; returns 0 for empty input.
 double PrAuc(std::vector<PrPoint> points);
 
-/// Evaluates a box sequence on a dataset and computes the PR AUC there.
+/// ComputeBoxStats(d, boxes[k]) for every box of a sequence, bit for bit,
+/// at the cost of one full scan per run of nested boxes. When box k has
+/// every lo >= and every hi <= those of box k-1 (a peeling trajectory),
+/// the rows inside box k-1 are filtered on the changed dimensions only,
+/// with Box::Contains' comparison, and n_pos is summed over the survivors
+/// in ascending row order -- ComputeBoxStats' order. Any other box (a
+/// pasted one, a Pareto set's next box, or one with a NaN bound, which
+/// fails the >= / <= test) is scanned in full.
+std::vector<BoxStats> TrajectoryStats(const Dataset& d,
+                                      const std::vector<Box>& boxes);
+
+/// Evaluates a box sequence on a dataset (TrajectoryStats) and computes
+/// the PR AUC there.
 double PrAucOnData(const std::vector<Box>& boxes, const Dataset& d);
 
 /// Consistency of two discovered boxes: V(overlap) / V(union) with infinite

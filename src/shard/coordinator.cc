@@ -185,12 +185,13 @@ Status ShardCoordinator::RefreshAggregates(
 }
 
 // The fleet peel state RunPeelingPhase drives. MakeCandidate is
-// CodePeelState's integral-label candidate logic verbatim, evaluated on the
-// globally-summed aggregates (the candidate is a pure function of them, so
-// no communication happens until a peel is applied). Apply is one
-// broadcast + gather round: workers remove the peeled rows from their
-// partition and reply with full updated local aggregates, which re-sum
-// exactly (integer counts; {0,1} label masses).
+// CodePeelState's integral-label candidate logic (MakeBinCut, from
+// core/prim_loop.h), evaluated on the globally-summed aggregates (the
+// candidate is a pure function of them, so no communication happens until
+// a peel is applied). Apply is one broadcast + gather round: workers
+// remove the peeled rows from their partition and reply with full updated
+// local aggregates, which re-sum exactly (integer counts; {0,1} label
+// masses).
 struct FleetPeelState {
   ShardCoordinator* coord;
   Status error = Status::OK();
@@ -206,53 +207,24 @@ struct FleetPeelState {
     if (k >= n_box) return peel;
 
     const GlobalBins& bins = coord->bins_;
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
-    int b;
-    if (low_side) {
-      b = BinAtInBoxRank(dim, k);
-      int p;
-      double pos_below;
-      PrefixBelow(dim, b, &p, &pos_below);
-      if (p == 0) {
-        const int q =
-            p + coord->bin_count_[static_cast<size_t>(dim)]
-                               [static_cast<size_t>(b)];
-        if (q >= n_box) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, q);
-        PrefixBelow(dim, b, &p, &pos_below);
-      }
-      removed_n = p;
-      removed_pos = pos_below;
-      peel.bound = bins.bin_first[static_cast<size_t>(dim)]
-                                 [static_cast<size_t>(b)];
-    } else {
-      b = BinAtInBoxRank(dim, n_box - 1 - k);
-      int q;
-      double pos_through;
-      PrefixThrough(dim, b, &q, &pos_through);
-      if (q >= n_box) {
-        int p;
-        double ignored;
-        PrefixBelow(dim, b, &p, &ignored);
-        if (p == 0) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, p - 1);
-        PrefixThrough(dim, b, &q, &pos_through);
-      }
-      removed_n = n_box - q;
-      removed_pos = in_stats.n_pos - pos_through;
-      peel.bound = bins.bin_last[static_cast<size_t>(dim)]
-                                [static_cast<size_t>(b)];
-    }
-    if (removed_n >= n_box) return peel;
+    const size_t d = static_cast<size_t>(dim);
+    const std::vector<int>& counts = coord->bin_count_[d];
+    const BinCut cut = MakeBinCut(
+        {counts.data(), coord->bin_pos_[d].data(), 0,
+         static_cast<int>(counts.size()) - 1},
+        n_box, k, low_side);
+    if (cut.bin < 0) return peel;  // dimension is constant in box
+    if (cut.removed >= n_box) return peel;
 
+    const size_t b = static_cast<size_t>(cut.bin);
     peel.dim = dim;
     peel.low_side = low_side;
-    peel.bin = b;
-    peel.removed_n = removed_n;
-    peel.removed_pos = removed_pos;
-    peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
+    peel.bound = low_side ? bins.bin_first[d][b] : bins.bin_last[d][b];
+    peel.bin = cut.bin;
+    peel.removed_n = cut.removed;
+    peel.removed_pos = cut.removed_mass;
+    peel.precision_after = (in_stats.n_pos - peel.removed_pos) /
+                           (in_stats.n - peel.removed_n);
     return peel;
   }
 
@@ -279,36 +251,6 @@ struct FleetPeelState {
     stats->n_pos -= peel.removed_pos;
     assert(coord->box_n_ == static_cast<int64_t>(stats->n) &&
            "fleet aggregates drifted from the peel accounting");
-  }
-
- private:
-  int BinAtInBoxRank(int dim, int rank) const {
-    const std::vector<int>& counts =
-        coord->bin_count_[static_cast<size_t>(dim)];
-    int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      cum += counts[b];
-      if (cum > rank) return static_cast<int>(b);
-    }
-    assert(false && "in-box rank out of range");
-    return static_cast<int>(counts.size()) - 1;
-  }
-
-  void PrefixBelow(int dim, int b, int* count, double* pos) const {
-    const std::vector<int>& counts =
-        coord->bin_count_[static_cast<size_t>(dim)];
-    const std::vector<double>& pos_sums =
-        coord->bin_pos_[static_cast<size_t>(dim)];
-    *count = 0;
-    *pos = 0.0;
-    for (int i = 0; i < b; ++i) {
-      *count += counts[static_cast<size_t>(i)];
-      *pos += pos_sums[static_cast<size_t>(i)];
-    }
-  }
-
-  void PrefixThrough(int dim, int b, int* count, double* pos) const {
-    PrefixBelow(dim, b + 1, count, pos);
   }
 };
 

@@ -1,10 +1,10 @@
 // Results do not depend on how many cores were idle. Each method runs twice
 // on the same morris training set (M = 20, N = 400): once on an idle process,
-// where CV tuning, the Pc/PBc plan grids, tree fits, labeling and the
-// sketch/code passes fan out onto idle cores, and once with every fork-join
-// slot held by a blocked pool task, where every region runs inline. The
-// chosen alpha and m, the boxes, the serialized metamodel and the streamed
-// BinnedIndex must be byte-identical.
+// where CV tuning, the Pc/PBc plan grids, bumping replicates, tree fits,
+// labeling and the sketch/code passes fan out onto idle cores, and once with
+// every fork-join slot held by a blocked pool task, where every region runs
+// inline. The chosen alpha and m, the boxes, the serialized metamodel and
+// the streamed BinnedIndex must be byte-identical.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -65,7 +65,7 @@ TEST(MethodIdleCoresTest, IdleAndBusyRunsAreIdentical) {
   const Dataset train =
       fun::MakeScenarioDataset(*fn, 400, fun::DefaultDesignFor(*fn), 4242);
   ASSERT_EQ(train.num_cols(), 20);
-  for (const char* method : {"Pc", "PBc", "RPf", "RPx", "RPs"}) {
+  for (const char* method : {"Pc", "PB", "PBc", "RPf", "RPx", "RPs"}) {
     SCOPED_TRACE(method);
     const ForkJoinStats idle_before = GetForkJoinStats();
     const MethodRun idle = RunOnce(method, train);

@@ -6,10 +6,15 @@
 // those cases assert near-equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/best_interval.h"
+#include "core/binned_index.h"
+#include "core/dataset_source.h"
 #include "core/prim.h"
 #include "ml/cart.h"
 #include "ml/gbt.h"
@@ -187,6 +192,122 @@ TEST(PrimEquivalenceTest, ParallelCandidateEvaluationMatchesSerial) {
     const PrimResult serial_run = RunPrim(d, d, serial_config);
     const PrimResult parallel_run = RunPrim(d, d, parallel_config);
     ExpectSamePrimResult(serial_run, parallel_run, "parallel candidates");
+  }
+}
+
+TEST(PrimEquivalenceTest, ValidatingOnTheTrainingDataMatchesACopy) {
+  // RunPrim(d, d) with {0,1} labels mirrors the training stats instead of
+  // re-cutting the validation rows; with fractional labels it keeps the
+  // walk. Either way the result must equal validating on a copy of d, which
+  // always takes the walk.
+  for (uint64_t seed : {211u, 212u}) {
+    for (bool fractional : {false, true}) {
+      for (int distinct : {0, 5}) {
+        const Dataset d = MakeData(400, 4, seed, fractional, distinct);
+        const Dataset copy = d;
+        for (PrimPeelBackend backend :
+             {PrimPeelBackend::kSorted, PrimPeelBackend::kBinned}) {
+          PrimConfig config;
+          config.backend = backend;
+          config.min_points = 10;
+          ExpectSamePrimResult(RunPrim(d, copy, config), RunPrim(d, d, config),
+                               "seed=" + std::to_string(seed) +
+                                   " fractional=" + std::to_string(fractional) +
+                                   " distinct=" + std::to_string(distinct));
+        }
+      }
+    }
+  }
+}
+
+TEST(PrimEquivalenceTest, TinyDatasetsMatchAcrossKernels) {
+  // A handful of rows: alpha * n rounds down to the one-row minimum, cuts
+  // reach the box edges, and the walks start and stop on the same bin.
+  for (int n : {2, 3, 5, 8, 13, 21, 34}) {
+    for (uint64_t seed : {181u, 182u, 183u}) {
+      for (int distinct : {0, 3}) {
+        for (bool fractional : {false, true}) {
+          const Dataset d = MakeData(n, 3, seed, fractional, distinct);
+          PrimConfig config;
+          config.min_points = 1;
+          config.alpha = 0.1;
+          PrimConfig sorted_config = config;
+          sorted_config.backend = PrimPeelBackend::kSorted;
+          const std::string label =
+              "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+              " distinct=" + std::to_string(distinct) +
+              " fractional=" + std::to_string(fractional);
+          const PrimResult sorted_run = RunPrim(d, d, sorted_config);
+          ExpectSamePrimResult(sorted_run, RunPrim(d, d, config), label);
+          if (!fractional) {
+            ExpectSamePrimResult(RunPrimReference(d, d, config), sorted_run,
+                                 label + " reference");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PrimEquivalenceTest, HighSideTiesMatchAcrossKernels) {
+  // Columns capped at 0.8 or floored at 0.2 hold a fifth of their rows in
+  // one tied block at the top or bottom edge, so cuts from that side are
+  // swallowed by the block and must move past it; counting those cuts
+  // down from the top has to give the sorted kernel's answer.
+  for (uint64_t seed : {191u, 192u, 193u}) {
+    for (bool fractional : {false, true}) {
+      const Dataset raw = MakeData(500, 4, seed, fractional);
+      Dataset d(4);
+      for (int r = 0; r < raw.num_rows(); ++r) {
+        const double x[4] = {std::min(raw.x(r, 0), 0.8),
+                             std::max(raw.x(r, 1), 0.2),
+                             std::min(raw.x(r, 2), 0.9), raw.x(r, 3)};
+        d.AddRow(x, raw.y(r));
+      }
+      for (double alpha : {0.05, 0.1, 0.2}) {
+        PrimConfig config;
+        config.alpha = alpha;
+        config.min_points = 5;
+        PrimConfig sorted_config = config;
+        sorted_config.backend = PrimPeelBackend::kSorted;
+        ExpectSamePrimResult(RunPrim(d, d, sorted_config),
+                             RunPrim(d, d, config),
+                             "seed=" + std::to_string(seed) +
+                                 " alpha=" + std::to_string(alpha) +
+                                 " fractional=" + std::to_string(fractional));
+      }
+    }
+  }
+}
+
+TEST(PrimEquivalenceTest, StreamedKernelMatchesOnTinyAndEdgeTiedData) {
+  // The bin-atomic streamed kernel walks the same edge-anchored histogram
+  // helper; on grid-valued data (one value per bin) it must reproduce the
+  // sorted kernel, on tiny samples and on edge-capped columns alike.
+  for (uint64_t seed : {201u, 202u}) {
+    for (bool fractional : {false, true}) {
+      for (int n : {3, 9, 30, 400}) {
+        const Dataset raw = MakeData(n, 3, seed, fractional, 40);
+        auto d = std::make_shared<Dataset>(3);
+        for (int r = 0; r < raw.num_rows(); ++r) {
+          const double x[3] = {std::min(raw.x(r, 0), 0.8),
+                               std::max(raw.x(r, 1), 0.2), raw.x(r, 2)};
+          d->AddRow(x, raw.y(r));
+        }
+        MatrixSource source(d);
+        auto streamed = BinnedIndex::BuildStreamed(&source);
+        ASSERT_TRUE(streamed.ok());
+        PrimConfig config;
+        config.alpha = 0.1;
+        config.min_points = n < 30 ? 1 : 5;
+        config.backend = PrimPeelBackend::kSorted;
+        ExpectSamePrimResult(
+            RunPrim(*d, *d, config),
+            RunPrimStreamed(*streamed->index, streamed->y, config, d.get()),
+            "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+                " fractional=" + std::to_string(fractional));
+      }
+    }
   }
 }
 

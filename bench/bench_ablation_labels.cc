@@ -25,7 +25,6 @@ int Main(int argc, char** argv) {
   config.reps = PickReps(flags, 3, 50);
   config.test_size = flags.full ? 20000 : 8000;
   config.options.l_prim = flags.full ? 100000 : 20000;
-  config.options.data_plan = flags.data_plan;
   config.options.tune_metamodel = flags.full;
   config.threads = flags.threads;
   config.seed = flags.seed;

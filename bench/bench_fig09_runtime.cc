@@ -25,7 +25,6 @@ int Main(int argc, char** argv) {
   config.reps = PickReps(flags, 3, 50);
   config.test_size = 2000;  // runtime study; test data barely matters
   config.options.l_prim = flags.full ? 100000 : 20000;
-  config.options.data_plan = flags.data_plan;
   config.options.l_bi = flags.full ? 10000 : 5000;
   config.options.bumping_q = flags.full ? 50 : 20;
   config.options.tune_metamodel = flags.full;

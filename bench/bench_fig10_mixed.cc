@@ -25,7 +25,6 @@ int Main(int argc, char** argv) {
   config.test_size = flags.full ? 20000 : 8000;
   config.design_override = fun::DesignKind::kMixedDiscrete;
   config.options.l_prim = flags.full ? 100000 : 20000;
-  config.options.data_plan = flags.data_plan;
   config.options.l_bi = flags.full ? 10000 : 5000;
   config.options.tune_metamodel = flags.full;
   config.threads = flags.threads;

@@ -84,7 +84,6 @@ int Main(int argc, char** argv) {
       for (size_t mi = 0; mi < methods.size(); ++mi) {
         RunOptions options;
         options.l_prim = flags.full ? 100000 : 20000;
-        options.data_plan = flags.data_plan;
         options.tune_metamodel = flags.full;
         options.seed = DeriveSeed(flags.seed, 1000 * (mi + 1) + rep);
         const MethodOutput out =

@@ -50,7 +50,6 @@ int Main(int argc, char** argv) {
     RunOptions options;
     options.l_prim = l;
     options.l_bi = std::min(l, 10000);
-    options.data_plan = flags.data_plan;
     options.tune_metamodel = flags.full;
     options.seed = DeriveSeed(flags.seed, 31ULL * n + 17ULL * l + rep);
     const MethodOutput out =

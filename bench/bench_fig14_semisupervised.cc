@@ -48,7 +48,6 @@ int Main(int argc, char** argv) {
   config.test_size = flags.full ? 20000 : 8000;
   config.design_override = fun::DesignKind::kLogitNormal;
   config.options.l_prim = flags.full ? 100000 : 20000;
-  config.options.data_plan = flags.data_plan;
   config.options.l_bi = flags.full ? 10000 : 5000;
   config.options.bumping_q = flags.full ? 50 : 20;
   config.options.tune_metamodel = flags.full;

@@ -1,6 +1,7 @@
 // Perf-regression harness for the columnar and quantized hot paths: times
-// the exact scalar kernels, the PR 2 sorted/presorted kernels, and the PR 3
-// binned/histogram kernels against each other on the paper-scale shapes
+// the library kernels against the test-only oracles (tests/reference_*.h)
+// and the exact split search, and the approximate kernels against the
+// exact ones, on the paper-scale shapes
 // (PRIM peeling over L relabeled points, GBT/RF metamodel fits, BI beam
 // search) and emits machine-readable JSON, extending the BENCH_*.json
 // trajectory. Exact kernels must reproduce their reference bit-for-bit;
@@ -49,6 +50,9 @@
 #include "obs/trace.h"
 #include "reference_bumping.h"
 #include "reference_metamodel.h"
+#include "reference_method.h"
+#include "reference_prim.h"
+#include "reference_tuning.h"
 #include "shard/coordinator.h"
 #include "shard/source_spec.h"
 #include "shard/worker.h"
@@ -64,7 +68,7 @@ struct PerfFlags {
   int l_points = 100000; // relabeled dataset size L
   int dims = 10;
   int reps = 3;          // timing repetitions; best is reported
-  int threads = 4;       // split-search / peel threads of the *_parallel kernels
+  int threads = 4;       // engine / server / fleet threads (service kernels)
   uint64_t seed = 42;
   std::string out;           // JSON path; empty: stdout only
   std::string metrics_out;   // MetricsRegistry JSON path; empty: none
@@ -205,7 +209,8 @@ double TrainLogLoss(const ml::Metamodel& model, const Dataset& d) {
   return ml::LogLoss(prob, y);
 }
 
-// --- PRIM: scalar reference vs sorted-index kernel (the PR 2 pair). ------
+// --- PRIM: the scalar reference of tests/reference_prim.h vs RunPrim, ----
+// private index builds included.
 KernelResult BenchPrimPeel(const PerfFlags& flags, bool paste) {
   KernelResult result;
   result.name = paste ? "prim_paste" : "prim_peel";
@@ -213,52 +218,48 @@ KernelResult BenchPrimPeel(const PerfFlags& flags, bool paste) {
   PrimConfig config;
   config.alpha = 0.05;
   config.paste = paste;
-  config.backend = PrimPeelBackend::kSorted;
   result.detail = "L=" + std::to_string(flags.l_points) +
                   " d=" + std::to_string(flags.dims) + " alpha=0.05" +
                   (paste ? " +pasting" : "");
 
   PrimResult ref, opt;
-  result.reference_seconds =
-      TimeBest(flags.reps, [&] { ref = RunPrimReference(d, d, config); });
+  result.reference_seconds = TimeBest(
+      flags.reps, [&] { ref = reference::RunPrimReference(d, d, config); });
   result.optimized_seconds =
       TimeBest(flags.reps, [&] { opt = RunPrim(d, d, config); });
   result.identical = SamePrimResult(ref, opt);
   return result;
 }
 
-// --- PRIM: sorted-index kernel vs binned kernel (the PR 3 pair). Both ----
-// get prebuilt indexes, so the timing isolates the peel loops themselves.
-KernelResult BenchPrimBinned(const PerfFlags& flags, int threads) {
+// --- PRIM: the sorted-view oracle of tests/reference_prim.h vs RunPrim's --
+// binned kernel. Both get prebuilt indexes, so the timing isolates the
+// peel loops themselves.
+KernelResult BenchPrimBinned(const PerfFlags& flags) {
   KernelResult result;
-  result.name = threads > 1 ? "prim_peel_binned_parallel" : "prim_peel_binned";
+  result.name = "prim_peel_binned";
   const Dataset d = RandomData(flags.l_points, flags.dims, flags.seed);
   const auto index = ColumnIndex::Build(d);
   const auto binned = BinnedIndex::Build(*index);
-  PrimConfig sorted_config;
-  sorted_config.alpha = 0.05;
-  sorted_config.backend = PrimPeelBackend::kSorted;
-  PrimConfig binned_config = sorted_config;
-  binned_config.backend = PrimPeelBackend::kBinned;
-  binned_config.threads = threads;
+  PrimConfig config;
+  config.alpha = 0.05;
   result.detail = "L=" + std::to_string(flags.l_points) +
-                  " d=" + std::to_string(flags.dims) + " alpha=0.05" +
-                  (threads > 1 ? " threads=" + std::to_string(threads) : "");
+                  " d=" + std::to_string(flags.dims) + " alpha=0.05";
 
   PrimResult ref, opt;
-  result.reference_seconds = TimeBest(
-      flags.reps, [&] { ref = RunPrim(d, d, sorted_config, index.get()); });
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    ref = reference::RunPrimSorted(d, d, config, index.get());
+  });
   result.optimized_seconds = TimeBest(flags.reps, [&] {
-    opt = RunPrim(d, d, binned_config, index.get(), binned.get());
+    opt = RunPrim(d, d, config, index.get(), binned.get());
   });
   result.identical = SamePrimResult(ref, opt);
   return result;
 }
 
 // --- GBT: scalar reference vs presorted (PR 2 pair). ---------------------
-KernelResult BenchGbtFit(const PerfFlags& flags, int threads) {
+KernelResult BenchGbtFit(const PerfFlags& flags) {
   KernelResult result;
-  result.name = threads > 1 ? "gbt_fit_parallel" : "gbt_fit";
+  result.name = "gbt_fit";
   const Dataset d = RandomData(flags.n_train, flags.dims, flags.seed + 1);
   const Dataset probe = RandomData(256, flags.dims, flags.seed + 2);
   ml::GbtConfig config;
@@ -266,15 +267,12 @@ KernelResult BenchGbtFit(const PerfFlags& flags, int threads) {
   config.max_depth = 4;
   result.detail = "n=" + std::to_string(flags.n_train) +
                   " d=" + std::to_string(flags.dims) +
-                  " rounds=" + std::to_string(config.num_rounds) +
-                  (threads > 1 ? " threads=" + std::to_string(threads) : "");
+                  " rounds=" + std::to_string(config.num_rounds);
 
   ml::GbtConfig ref_config = config;
   ref_config.backend = ml::SplitBackend::kExact;
-  ml::GbtConfig opt_config = config;
-  opt_config.threads = threads;
 
-  ml::GradientBoostedTrees ref(ref_config), opt(opt_config);
+  ml::GradientBoostedTrees ref(ref_config), opt(config);
   result.reference_seconds =
       TimeBest(flags.reps, [&] { ref.Fit(d, flags.seed + 3); });
   result.optimized_seconds =
@@ -288,19 +286,17 @@ KernelResult BenchGbtFit(const PerfFlags& flags, int threads) {
 
 // --- GBT: presorted vs histogram (PR 3 pair, approximate). Both fits -----
 // get the prebuilt shared indexes, isolating the split-search cost.
-KernelResult BenchGbtHist(const PerfFlags& flags, int threads) {
+KernelResult BenchGbtHist(const PerfFlags& flags) {
   KernelResult result;
-  result.name = threads > 1 ? "gbt_fit_hist_parallel" : "gbt_fit_hist";
+  result.name = "gbt_fit_hist";
   result.approximate = true;
   const Dataset d = RandomData(flags.n_train, flags.dims, flags.seed + 1);
   ml::GbtConfig config;
   config.num_rounds = flags.quick ? 20 : 100;
   config.max_depth = 4;
-  config.threads = threads;
   result.detail = "n=" + std::to_string(flags.n_train) +
                   " d=" + std::to_string(flags.dims) +
-                  " rounds=" + std::to_string(config.num_rounds) +
-                  (threads > 1 ? " threads=" + std::to_string(threads) : "");
+                  " rounds=" + std::to_string(config.num_rounds);
 
   const auto index = ColumnIndex::Build(d);
   const auto binned = BinnedIndex::Build(*index);
@@ -698,7 +694,7 @@ KernelResult BenchBumping(const PerfFlags& flags) {
   return result;
 }
 
-// --- Streamed PRIM: the sorted-index kernel on the materialized matrix ---
+// --- Streamed PRIM: the sorted-view oracle on the materialized matrix ----
 // vs RunPrimStreamed on codes alone. Discrete-valued data keeps both in
 // the exact regime, so the boxes must be bit-identical; both get prebuilt
 // indexes, isolating the peel loops.
@@ -710,9 +706,8 @@ KernelResult BenchPrimStreamed(const PerfFlags& flags) {
   const auto index = ColumnIndex::Build(*data);
   MatrixSource source(data);
   auto streamed = BinnedIndex::BuildStreamed(&source);
-  PrimConfig sorted_config;
-  sorted_config.alpha = 0.05;
-  sorted_config.backend = PrimPeelBackend::kSorted;
+  PrimConfig config;
+  config.alpha = 0.05;
   result.detail = "L=" + std::to_string(flags.l_points) +
                   " d=" + std::to_string(flags.dims) +
                   " alpha=0.05 128-distinct";
@@ -722,10 +717,11 @@ KernelResult BenchPrimStreamed(const PerfFlags& flags) {
   }
 
   PrimResult ref, opt;
-  result.reference_seconds = TimeBest(
-      flags.reps, [&] { ref = RunPrim(*data, *data, sorted_config, index.get()); });
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    ref = reference::RunPrimSorted(*data, *data, config, index.get());
+  });
   result.optimized_seconds = TimeBest(flags.reps, [&] {
-    opt = RunPrimStreamed(*streamed->index, streamed->y, sorted_config);
+    opt = RunPrimStreamed(*streamed->index, streamed->y, config);
   });
   result.identical = SamePrimResult(ref, opt);
   return result;
@@ -787,10 +783,10 @@ KernelResult BenchRedsRelabelStreamed(const PerfFlags& flags) {
   return result;
 }
 
-// --- End-to-end REDS discovery ("RPx"): the materialized data plan vs ----
-// the streamed one inside RunMethod itself (metamodel fit + relabel +
-// index + peel). On grid-sampled points both plans must discover the
-// identical box sequence.
+// --- End-to-end REDS discovery ("RPx"): the materialized oracle of -------
+// tests/reference_method.h (RedsRelabel into a dense matrix, then RunPrim)
+// vs RunMethod's streamed path (metamodel fit + relabel + index + peel).
+// On grid-sampled points both must discover the identical box sequence.
 KernelResult BenchMethodRedsStreamed(const PerfFlags& flags) {
   KernelResult result;
   result.name = "method_reds_streamed_e2e";
@@ -807,14 +803,11 @@ KernelResult BenchMethodRedsStreamed(const PerfFlags& flags) {
   const auto spec = MethodSpec::Parse("RPx");
 
   MethodOutput ref, opt;
-  RunOptions materialized = options;
-  materialized.data_plan = MethodDataPlan::kMaterialized;
-  result.reference_seconds = TimeBest(
-      flags.reps, [&] { ref = RunMethod(*spec, train, materialized); });
-  RunOptions streamed = options;
-  streamed.data_plan = MethodDataPlan::kStreamed;
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    ref = reference::RunRedsPrimMaterialized(*spec, train, options);
+  });
   result.optimized_seconds = TimeBest(
-      flags.reps, [&] { opt = RunMethod(*spec, train, streamed); });
+      flags.reps, [&] { opt = RunMethod(*spec, train, options); });
   result.identical = ref.trajectory.size() == opt.trajectory.size() &&
                      ref.last_box == opt.last_box;
   for (size_t i = 0; i < ref.trajectory.size() && result.identical; ++i) {
@@ -841,7 +834,6 @@ KernelResult BenchMetricsOverhead(const PerfFlags& flags) {
   auto streamed = BinnedIndex::BuildStreamed(&source);
   PrimConfig config;
   config.alpha = 0.05;
-  config.backend = PrimPeelBackend::kSorted;
   const int passes = flags.quick ? 4 : 6;
   result.detail = "L=" + std::to_string(flags.l_points) +
                   " d=" + std::to_string(flags.dims) + " passes=" +
@@ -893,11 +885,11 @@ KernelResult BenchBi(const PerfFlags& flags) {
   return result;
 }
 
-// --- CV tuning fold plans: the materialized reference (SubsetRows copies --
-// one training matrix + one fold index per grid evaluation) vs the
-// streamed plan (row views over a single shared full-data index, O(one
-// fold) extra residency). Presorted backend keeps the fold views exact, so
-// the winning cell, the refit model, and every probe prediction must be
+// --- CV tuning: the materialized oracle of tests/reference_tuning.h ------
+// (SubsetRows copies -- one training matrix + one index per fold) vs
+// TuneAndFit (row views over a single shared full-data index, O(one fold)
+// extra residency). Presorted backend keeps the fold views exact, so the
+// winning cell, the refit model, and every probe prediction must be
 // bit-identical -- the speedup is a bonus on top of the residency win the
 // memory smoke asserts separately.
 KernelResult BenchTuningStreamedFolds(const PerfFlags& flags) {
@@ -906,22 +898,19 @@ KernelResult BenchTuningStreamedFolds(const PerfFlags& flags) {
   const int n = flags.quick ? flags.n_train : 2500;
   const Dataset d = RandomData(n, flags.dims, flags.seed + 15);
   const Dataset probe = RandomData(256, flags.dims, flags.seed + 16);
-  ml::TuningConfig materialized;
-  materialized.folds = 3;
-  materialized.fold_plan = ml::CvFoldPlan::kMaterialized;
-  ml::TuningConfig streamed = materialized;
-  streamed.fold_plan = ml::CvFoldPlan::kStreamed;
+  ml::TuningConfig config;
+  config.folds = 3;
   result.detail = "gbt n=" + std::to_string(n) +
                   " d=" + std::to_string(flags.dims) + " folds=3 grid=4";
 
   std::unique_ptr<ml::Metamodel> ref, opt;
   result.reference_seconds = TimeBest(flags.reps, [&] {
-    ref = ml::TuneAndFit(ml::MetamodelKind::kGbt, d, flags.seed + 17,
-                         materialized);
+    ref = reference::TuneAndFitMaterialized(ml::MetamodelKind::kGbt, d,
+                                            flags.seed + 17, config);
   });
   result.optimized_seconds = TimeBest(flags.reps, [&] {
     opt = ml::TuneAndFit(ml::MetamodelKind::kGbt, d, flags.seed + 17,
-                         streamed);
+                         config);
   });
   result.identical = ref != nullptr && opt != nullptr;
   for (int i = 0; i < probe.num_rows() && result.identical; ++i) {
@@ -1473,15 +1462,9 @@ int main(int argc, char** argv) {
   };
   maybe("prim_peel", [&] { return BenchPrimPeel(flags, /*paste=*/false); });
   maybe("prim_paste", [&] { return BenchPrimPeel(flags, /*paste=*/true); });
-  maybe("prim_peel_binned",
-        [&] { return BenchPrimBinned(flags, /*threads=*/1); });
-  maybe("prim_peel_binned_parallel",
-        [&] { return BenchPrimBinned(flags, flags.threads); });
-  maybe("gbt_fit", [&] { return BenchGbtFit(flags, /*threads=*/1); });
-  maybe("gbt_fit_parallel", [&] { return BenchGbtFit(flags, flags.threads); });
-  maybe("gbt_fit_hist", [&] { return BenchGbtHist(flags, /*threads=*/1); });
-  maybe("gbt_fit_hist_parallel",
-        [&] { return BenchGbtHist(flags, flags.threads); });
+  maybe("prim_peel_binned", [&] { return BenchPrimBinned(flags); });
+  maybe("gbt_fit", [&] { return BenchGbtFit(flags); });
+  maybe("gbt_fit_hist", [&] { return BenchGbtHist(flags); });
   maybe("rf_fit", [&] { return BenchRfFit(flags); });
   maybe("rf_fit_hist", [&] { return BenchRfHist(flags); });
   maybe("metamodel_predict_block_f", [&] {

@@ -3,8 +3,7 @@
 //   ./build/examples/streaming_discovery [data.csv]
 //       [--block N] [--alpha A] [--cache-dir DIR] [--expect-warm]
 //       [--trace-dir DIR] [--metrics-out FILE]
-//       [--reds-smoke L] [--tuning-smoke N]
-//       [--data-plan streamed|materialized]
+//       [--reds-smoke L] [--tuning-smoke N] [--materialized]
 //       [--function NAME] [--n N0]
 //
 // The CSV must have a header, numeric cells, and the *last* column as the
@@ -23,17 +22,20 @@
 //
 // --reds-smoke L runs an end-to-end REDS discovery ("RPx") with L
 // metamodel-labeled points on a generated dataset and prints the peak RSS:
-// under --data-plan streamed the relabeled points never materialize
+// RunMethod streams the relabeled points, which never materialize
 // (O(block) doubles + L x M uint8 codes resident), so the run fits a hard
-// memory cap (ulimit) that the materialized plan cannot -- the CI
-// memory-ceiling smoke asserts exactly that.
+// memory cap (ulimit). With --materialized it runs the negative control
+// instead, the test-only oracle of tests/reference_method.h: RedsRelabel
+// into a dense L x M matrix, then RunPrim -- which must not fit the cap.
+// The CI memory-ceiling smoke asserts both.
 //
 // --tuning-smoke N grid-tunes a GBT metamodel on an N-row generated
-// dataset and prints the peak RSS. --data-plan picks the CV fold plan:
-// `streamed` evaluates every grid cell through row views over one shared
-// full-data index (O(one fold) extra residency), `materialized` copies a
-// training matrix + private index per fold -- the tuning-residency CI
-// smoke caps the address space so only the streamed plan fits.
+// dataset and prints the peak RSS. TuneAndFit evaluates every grid cell
+// through row views over one shared full-data index (O(one fold) extra
+// residency); --materialized runs the oracle of tests/reference_tuning.h
+// instead, which copies a training matrix + private index per fold -- the
+// tuning-residency CI smoke caps the address space so only TuneAndFit
+// fits.
 //
 // --trace-dir makes every engine job write a Chrome trace-event JSON of
 // its pipeline stages there (open in chrome://tracing or Perfetto);
@@ -55,6 +57,8 @@
 #include "functions/registry.h"
 #include "functions/thirdparty.h"
 #include "ml/tuning.h"
+#include "reference_method.h"
+#include "reference_tuning.h"
 #include "util/table.h"
 
 namespace {
@@ -76,9 +80,9 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-// End-to-end REDS under a chosen data plan, for the memory-ceiling smoke.
+// End-to-end REDS, streamed or materialized, for the memory-ceiling smoke.
 int RunRedsSmoke(const std::string& function_name, int n, int l,
-                 reds::MethodDataPlan plan) {
+                 bool materialized) {
   using namespace reds;
   auto function = fun::MakeFunction(function_name);
   if (!function.ok()) {
@@ -90,25 +94,25 @@ int RunRedsSmoke(const std::string& function_name, int n, int l,
   RunOptions options;
   options.l_prim = l;
   options.tune_metamodel = false;
-  options.data_plan = plan;
   options.seed = 7;
+  const auto spec = MethodSpec::Parse("RPx");
   const MethodOutput out =
-      RunMethod(*MethodSpec::Parse("RPx"), train, options);
+      materialized ? reference::RunRedsPrimMaterialized(*spec, train, options)
+                   : RunMethod(*spec, train, options);
   std::printf(
-      "reds-smoke: %s, N=%d, L=%d, plan=%s\n"
+      "reds-smoke: %s, N=%d, L=%d, %s\n"
       "  trajectory %zu boxes, last box restricts %d of %d inputs\n"
-      "  runtime %.2fs, peak RSS %.1f MB\n",
-      function_name.c_str(), n, l,
-      plan == MethodDataPlan::kStreamed ? "streamed" : "materialized",
+      "  peak RSS %.1f MB\n",
+      function_name.c_str(), n, l, materialized ? "materialized" : "streamed",
       out.trajectory.size(), out.last_box.NumRestricted(),
-      (*function)->dim(), out.runtime_seconds, PeakRssMb());
+      (*function)->dim(), PeakRssMb());
   return 0;
 }
 
-// Grid-tuned metamodel fit under a chosen CV fold plan, for the
-// tuning-residency smoke.
+// Grid-tuned metamodel fit, through fold views or materialized folds, for
+// the tuning-residency smoke.
 int RunTuningSmoke(const std::string& function_name, int n,
-                   reds::ml::CvFoldPlan plan) {
+                   bool materialized) {
   using namespace reds;
   auto function = fun::MakeFunction(function_name);
   if (!function.ok()) {
@@ -120,19 +124,20 @@ int RunTuningSmoke(const std::string& function_name, int n,
   ml::TuningConfig config;
   config.folds = 3;
   config.backend = ml::SplitBackend::kHistogram;
-  config.fold_plan = plan;
   const auto model =
-      ml::TuneAndFit(ml::MetamodelKind::kGbt, train, /*seed=*/7, config);
+      materialized ? reference::TuneAndFitMaterialized(
+                         ml::MetamodelKind::kGbt, train, /*seed=*/7, config)
+                   : ml::TuneAndFit(ml::MetamodelKind::kGbt, train,
+                                    /*seed=*/7, config);
   if (model == nullptr) {
     std::fprintf(stderr, "tuning produced no model\n");
     return 1;
   }
   std::printf(
-      "tuning-smoke: %s, n=%d x %d inputs, folds=%d, plan=%s\n"
+      "tuning-smoke: %s, n=%d x %d inputs, folds=%d, %s\n"
       "  peak RSS %.1f MB\n",
       function_name.c_str(), n, train.num_cols(), config.folds,
-      plan == ml::CvFoldPlan::kStreamed ? "streamed" : "materialized",
-      PeakRssMb());
+      materialized ? "materialized" : "fold views", PeakRssMb());
   return 0;
 }
 
@@ -149,7 +154,7 @@ int main(int argc, char** argv) {
   int smoke_n = 300;
   int reds_smoke_l = 0;
   int tuning_smoke_n = 0;
-  MethodDataPlan data_plan = MethodDataPlan::kStreamed;
+  bool materialized = false;
   bool expect_warm = false;
   StreamedBuildOptions build_options;
   PrimConfig prim_config;
@@ -178,16 +183,8 @@ int main(int argc, char** argv) {
       reds_smoke_l = std::atoi(next());
     } else if (arg == "--tuning-smoke") {
       tuning_smoke_n = std::atoi(next());
-    } else if (arg == "--data-plan") {
-      const std::string plan = next();
-      if (plan == "streamed") {
-        data_plan = MethodDataPlan::kStreamed;
-      } else if (plan == "materialized") {
-        data_plan = MethodDataPlan::kMaterialized;
-      } else {
-        std::fprintf(stderr, "--data-plan must be streamed or materialized\n");
-        return 2;
-      }
+    } else if (arg == "--materialized") {
+      materialized = true;
     } else if (arg == "--function") {
       smoke_function = next();
     } else if (arg == "--n") {
@@ -201,15 +198,10 @@ int main(int argc, char** argv) {
   }
 
   if (reds_smoke_l > 0) {
-    return RunRedsSmoke(smoke_function, smoke_n, reds_smoke_l, data_plan);
+    return RunRedsSmoke(smoke_function, smoke_n, reds_smoke_l, materialized);
   }
   if (tuning_smoke_n > 0) {
-    // --data-plan doubles as the fold-plan switch: streamed fold views vs
-    // per-fold matrix copies.
-    return RunTuningSmoke(smoke_function, tuning_smoke_n,
-                          data_plan == MethodDataPlan::kStreamed
-                              ? ml::CvFoldPlan::kStreamed
-                              : ml::CvFoldPlan::kMaterialized);
+    return RunTuningSmoke(smoke_function, tuning_smoke_n, materialized);
   }
 
   if (path.empty()) {

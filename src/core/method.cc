@@ -341,9 +341,8 @@ MethodPlan PlanMethod(const MethodSpec& spec, const Dataset& train,
   // Data plan: only REDS + plain PRIM has a streamed discovery kernel
   // (RunPrimStreamed); BI's beam refinement and bumping's per-replicate
   // subsets need raw doubles and keep the materializing fallback.
-  plan.streamed_relabel = options.data_plan == MethodDataPlan::kStreamed &&
-                          spec.reds &&
-                          spec.family == MethodSpec::Family::kPrim;
+  plan.streamed_relabel =
+      spec.reds && spec.family == MethodSpec::Family::kPrim;
   return plan;
 }
 

@@ -41,21 +41,6 @@ struct MethodSpec {
   bool IsPrimFamily() const { return family != Family::kBi; }
 };
 
-/// How the method layer ingests the data its SD algorithm scans.
-///   kMaterialized: REDS relabeling produces a dense L x M double Dataset
-///                  (the pre-PR 5 behavior), indexed and peeled in memory.
-///   kStreamed:     REDS + PRIM flows RedsRelabelStreamed ->
-///                  BinnedIndex::BuildStreamed -> RunPrimStreamed: the L
-///                  relabeled points exist only as O(block) doubles in
-///                  flight plus L x M uint8 codes, never as a double
-///                  matrix. Bit-identical boxes to kMaterialized in the
-///                  exact-pack regime (every sampled column <= 256 distinct
-///                  values); within the sketch's rank-error bound
-///                  otherwise. Methods without a streamed kernel (BI,
-///                  bumping, and every non-REDS family) always materialize
-///                  regardless of this knob.
-enum class MethodDataPlan { kMaterialized, kStreamed };
-
 /// Knobs shared by all methods in one experiment (paper Table 2 defaults).
 struct RunOptions {
   double default_alpha = 0.05;  // peeling fraction when not tuned
@@ -90,12 +75,9 @@ struct RunOptions {
   /// ColumnIndex cache) so a batch quantizes once. When empty, kernels
   /// quantize privately.
   BinnedIndexProvider binned_index_provider;
-  /// Data plan of the relabeled dataset; see MethodDataPlan. The default
-  /// streams REDS + PRIM.
-  MethodDataPlan data_plan = MethodDataPlan::kStreamed;
-  /// Rows per block on the streamed plan (both the relabeling generator
-  /// and BuildStreamed pull this granularity). Peak relabeled-double
-  /// residency is O(stream_block_rows x M).
+  /// Rows per block of the streamed REDS + PRIM relabeling (both the
+  /// relabeling generator and BuildStreamed pull this granularity). Peak
+  /// relabeled-double residency is O(stream_block_rows x M).
   int stream_block_rows = 8192;
   /// Identity of a custom `sampler` for the relabel-stream cache key. A
   /// custom sampler is an opaque function, so the streamed relabel cache
@@ -130,14 +112,19 @@ struct MethodOutput {
 /// the data plan decided. PlanMethod performs the tune step (always on D,
 /// never on the relabeled D_new -- paper Section 8.4.3); ExecuteMethodPlan
 /// performs relabel -> index -> discover. RunMethod is the composition;
-/// the split lets callers (and tests) run the expensive tuning once and
-/// execute the same plan under different data plans.
+/// the split lets callers (and tests) run the expensive tuning once.
 struct MethodPlan {
   MethodSpec spec;
   double alpha = 0.05;  // PRIM family peeling fraction (tuned or default)
   int m = 0;            // bumping / BI restriction budget (tuned or M)
-  /// True when execution streams the relabeled data (REDS + plain PRIM
-  /// under MethodDataPlan::kStreamed); everything else materializes.
+  /// True when execution streams the relabeled data: REDS + plain PRIM
+  /// flows RedsRelabelStreamed -> BinnedIndex::BuildStreamed ->
+  /// RunPrimStreamed, so the L relabeled points exist only as O(block)
+  /// doubles in flight plus L x M uint8 codes, never as a double matrix.
+  /// The boxes equal RedsRelabel + RunPrim's in the exact-pack regime
+  /// (every sampled column <= 256 distinct values) and stay within the
+  /// sketch's rank-error bound otherwise. BI and bumping need raw doubles
+  /// and materialize.
   bool streamed_relabel = false;
 };
 
@@ -149,7 +136,8 @@ MethodPlan PlanMethod(const MethodSpec& spec, const Dataset& train,
 /// Relabel -> index -> discover for a resolved plan. On the streamed plan
 /// the relabeled points flow RedsRelabelStreamed -> BuildStreamed ->
 /// RunPrimStreamed (validated on `train`, exactly like the materialized
-/// path's RunPrim(D_new, D)) and the dense relabeled matrix never exists.
+/// RedsRelabel + RunPrim(D_new, D)) and the dense relabeled matrix never
+/// exists.
 MethodOutput ExecuteMethodPlan(const MethodPlan& plan, const Dataset& train,
                                const RunOptions& options);
 

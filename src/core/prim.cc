@@ -1,147 +1,27 @@
-// Sorted-index PRIM. Peel candidates are rank selections on per-column
-// sorted permutations of the in-box points, maintained incrementally across
-// peels (apply = drop a prefix/suffix of the peeled column, compact the
-// others through a bitmask); the pasting phase enumerates "outside through
-// one bound" points from the full-data permutations guarded by a
-// per-dimension violation-count array. Produces the same box sequences as
-// the original full-rescan implementation, preserved in prim_reference.cc
-// and asserted equivalent in tests/prim_equivalence_test.cc.
+// PRIM kernels. Peel candidates come from per-dimension in-box bin
+// histograms over a BinnedIndex, refined by exact scans inside the
+// boundary bin (materialized data) or taken bin-atomically (streamed
+// codes); the pasting phase enumerates "outside through one bound" points
+// from the full-data permutations guarded by a per-dimension violation-
+// count array. Produces the same box sequences as the full-rescan and
+// sorted-view implementations kept as test oracles in
+// tests/reference_prim.h and asserted equivalent in
+// tests/prim_equivalence_test.cc.
 #include "core/prim.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <utility>
 
 #include "core/prim_loop.h"
 #include "obs/trace.h"
 #include "util/simd.h"
-#include "util/thread_pool.h"
 
 namespace reds {
 
 namespace {
-
-// Per-dimension sorted views of the in-box training points. sorted_[j]
-// holds exactly the rows currently inside the box, ascending by column j
-// (ties by row id, inherited from the ColumnIndex permutation).
-class PeelState {
- public:
-  PeelState(const Dataset& train, const ColumnIndex& index)
-      : train_(train),
-        index_(index),
-        in_box_(static_cast<size_t>(train.num_rows()), 1) {
-    sorted_.reserve(static_cast<size_t>(train.num_cols()));
-    for (int j = 0; j < train.num_cols(); ++j) {
-      sorted_.push_back(index.sorted_rows(j));
-    }
-  }
-
-  // Builds the low- or high-side candidate peel for one dimension, cutting
-  // off roughly an alpha share of the in-box train points. Returns dim = -1
-  // when no valid cut exists (e.g. all values equal). Semantics match the
-  // reference MakeCandidate: the bound is the (k+1)-th order statistic,
-  // points equal to the bound stay inside, and a cut swallowed by ties moves
-  // past the tied block.
-  Peel MakeCandidate(int dim, bool low_side, double alpha,
-                     const BoxStats& in_stats) const {
-    Peel peel;
-    const std::vector<int>& s = sorted_[static_cast<size_t>(dim)];
-    const std::vector<double>& col = index_.column(dim);
-    const int n = static_cast<int>(s.size());
-    const int k = std::max(1, static_cast<int>(std::floor(alpha * n)));
-    if (k >= n) return peel;  // would empty the box
-
-    double bound;
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
-    if (low_side) {
-      bound = col[static_cast<size_t>(s[static_cast<size_t>(k)])];
-      // Points removed: the prefix with value < bound.
-      int p = LowerBoundRank(s, col, bound);
-      if (p == 0) {
-        // Ties swallowed the whole cut: move past the tied block.
-        const int q = UpperBoundRank(s, col, bound);
-        if (q >= n) return peel;  // dimension is constant in box
-        bound = col[static_cast<size_t>(s[static_cast<size_t>(q)])];
-        p = q;  // no values lie strictly between the old and new bound
-      }
-      removed_n = p;
-      for (int i = 0; i < p; ++i) {
-        removed_pos += train_.y(s[static_cast<size_t>(i)]);
-      }
-    } else {
-      bound = col[static_cast<size_t>(s[static_cast<size_t>(n - 1 - k)])];
-      // Points removed: the suffix with value > bound.
-      int q = UpperBoundRank(s, col, bound);
-      if (q >= n) {
-        const int p = LowerBoundRank(s, col, bound);
-        if (p == 0) return peel;  // dimension is constant in box
-        bound = col[static_cast<size_t>(s[static_cast<size_t>(p - 1)])];
-        q = p;  // suffix > new bound starts where values >= old bound began
-      }
-      removed_n = n - q;
-      for (int i = q; i < n; ++i) {
-        removed_pos += train_.y(s[static_cast<size_t>(i)]);
-      }
-    }
-    if (removed_n >= n) return peel;  // would empty the box
-
-    peel.dim = dim;
-    peel.low_side = low_side;
-    peel.bound = bound;
-    peel.removed_n = removed_n;
-    peel.removed_pos = removed_pos;
-    peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
-    return peel;
-  }
-
-  // Drops the rows violating the peel, updating `stats`. The peeled
-  // dimension loses a prefix/suffix; every other dimension is compacted
-  // through the bitmask, so all views stay exact in-box row sets.
-  void Apply(const Peel& peel, BoxStats* stats) {
-    std::vector<int>& s = sorted_[static_cast<size_t>(peel.dim)];
-    const std::vector<double>& col = index_.column(peel.dim);
-    const int n = static_cast<int>(s.size());
-    if (peel.low_side) {
-      const int p = LowerBoundRank(s, col, peel.bound);
-      for (int i = 0; i < p; ++i) {
-        in_box_[static_cast<size_t>(s[static_cast<size_t>(i)])] = 0;
-      }
-      s.erase(s.begin(), s.begin() + p);
-    } else {
-      const int q = UpperBoundRank(s, col, peel.bound);
-      for (int i = q; i < n; ++i) {
-        in_box_[static_cast<size_t>(s[static_cast<size_t>(i)])] = 0;
-      }
-      s.resize(static_cast<size_t>(q));
-    }
-    stats->n -= peel.removed_n;
-    stats->n_pos -= peel.removed_pos;
-    for (int j = 0; j < static_cast<int>(sorted_.size()); ++j) {
-      if (j == peel.dim) continue;
-      Compact(&sorted_[static_cast<size_t>(j)]);
-    }
-  }
-
- private:
-  void Compact(std::vector<int>* s) const {
-    size_t kept = 0;
-    for (size_t i = 0; i < s->size(); ++i) {
-      const int r = (*s)[i];
-      if (in_box_[static_cast<size_t>(r)]) (*s)[kept++] = r;
-    }
-    s->resize(kept);
-  }
-
-  const Dataset& train_;
-  const ColumnIndex& index_;
-  std::vector<std::vector<int>> sorted_;  // [dim] -> in-box rows by value
-  std::vector<uint8_t> in_box_;           // by row id
-};
 
 // True when every label is exactly 0 or 1: then every label sum is an
 // exact integer, whatever the order of accumulation.
@@ -217,13 +97,14 @@ double SumLastInBox(const int* sorted, const uint8_t* in_box,
   return sum;
 }
 
-// Binned peel state: the quantized counterpart of PeelState. No per-dim
-// sorted in-box views are maintained; instead a per-dimension histogram of
+// Binned peel state: the quantized counterpart of the sorted-view kernel
+// (reference::SortedPeelState, tests/reference_prim.h). No per-dim sorted
+// in-box views are maintained; instead a per-dimension histogram of
 // in-box counts per BinnedIndex bin locates each peel's boundary bin, and
 // short scans of the full-data sorted permutation inside that bin (filtered
 // through the in-box bitmask) refine the exact bound, counts, and
 // removed-mass sums -- in the same value-then-row-id order as the sorted
-// kernel, so every Peel it produces is bit-identical to PeelState's.
+// kernel, so every Peel it produces is bit-identical to that kernel's.
 // Histogram walks start at the edge being peeled (InBoxBins): a low-side
 // candidate walks up from the lowest in-box bin and counts the rows below
 // its bound, a high-side one walks down from the highest and counts the
@@ -267,12 +148,12 @@ class BinnedPeelState {
     }
   }
 
-  // Mirrors PeelState::MakeCandidate decision for decision: the bound is
-  // the same order statistic, tie-swallowed cuts advance past tied blocks
-  // the same way, and removed sums are the same numbers. The high side is
-  // the low side's mirror image, counted down from the top: its bound is
-  // the in-box row k places below the largest, and the rows above it go.
-  // One histogram walk finds the bound's bin; the bins it passed are
+  // Mirrors the sorted kernel's MakeCandidate decision for decision: the
+  // bound is the same order statistic, tie-swallowed cuts advance past tied
+  // blocks the same way, and removed sums are the same numbers. The high
+  // side is the low side's mirror image, counted down from the top: its
+  // bound is the in-box row k places below the largest, and the rows above
+  // it go. One histogram walk finds the bound's bin; the bins it passed are
   // exactly the removed rows outside that bin, so the count and label sum
   // need no second walk.
   Peel MakeCandidate(int dim, bool low_side, double alpha,
@@ -490,13 +371,13 @@ class BinnedPeelState {
 // permutation, and the label vector -- no raw doubles, no ColumnIndex.
 // Candidates treat bins as atomic value blocks (MakeBinCut): the boundary
 // bin replaces the exact order statistic and bounds snap to
-// bin_first/bin_last. With one distinct value per bin this reproduces
-// PeelState's decisions exactly (same candidate counts, same tie handling,
-// same removed sums); with wider bins every cut is within the binning's
-// rank error of the exact kernel's. Histogram walks and Apply mirror
-// BinnedPeelState: walks start at the peeled edge, and Apply walks only
-// the removed window of the peeled dimension's permutation, decrementing
-// per-bin aggregates.
+// bin_first/bin_last. With one distinct value per bin this reproduces the
+// sorted kernel's decisions exactly (same candidate counts, same tie
+// handling, same removed sums); with wider bins every cut is within the
+// binning's rank error of the exact kernel's. Histogram walks and Apply
+// mirror BinnedPeelState: walks start at the peeled edge, and Apply walks
+// only the removed window of the peeled dimension's permutation,
+// decrementing per-bin aggregates.
 class CodePeelState {
  public:
   CodePeelState(const BinnedIndex& binned, const std::vector<double>& y)
@@ -753,28 +634,20 @@ PrimResult RunPrim(const Dataset& train, const Dataset& val,
     peel_val = nullptr;
   }
 
+  std::shared_ptr<const BinnedIndex> owned_binned;
+  if (train_binned == nullptr) {
+    owned_binned = BinnedIndex::Build(*train_index);
+    train_binned = owned_binned.get();
+  }
+  assert(train_binned->num_rows() == train.num_rows());
+  assert(train_binned->num_cols() == train.num_cols());
+  BinnedPeelState state(train, *train_index, *train_binned);
   PrimResult result;
-  if (config.backend == PrimPeelBackend::kBinned) {
-    std::shared_ptr<const BinnedIndex> owned_binned;
-    if (train_binned == nullptr) {
-      owned_binned = BinnedIndex::Build(*train_index);
-      train_binned = owned_binned.get();
-    }
-    assert(train_binned->num_rows() == train.num_rows());
-    assert(train_binned->num_cols() == train.num_cols());
-    BinnedPeelState state(train, *train_index, *train_binned);
+  {
     obs::Span span("prim.peel");
     result = RunPeelingPhase(train.num_cols(),
                              static_cast<double>(train.num_rows()),
-                             train.TotalPositive(), peel_val, config,
-                             &state);
-  } else {
-    PeelState state(train, *train_index);
-    obs::Span span("prim.peel");
-    result = RunPeelingPhase(train.num_cols(),
-                             static_cast<double>(train.num_rows()),
-                             train.TotalPositive(), peel_val, config,
-                             &state);
+                             train.TotalPositive(), peel_val, config, &state);
   }
 
   if (config.paste) {

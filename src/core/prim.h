@@ -15,32 +15,12 @@
 
 namespace reds {
 
-/// Peel-candidate kernel.
-///   kSorted: rank selection on per-column sorted in-box views, compacted
-///            through a bitmask on every peel (the PR 2 kernel).
-///   kBinned: per-dimension in-box bin histograms over a BinnedIndex locate
-///            each peel bin in O(bins); an exact scan inside that bin
-///            refines the boundary, and applying a peel touches only the
-///            removed rows (O(removed x M)) instead of compacting every
-///            view (O(N x M)). Produces bit-identical box sequences.
-enum class PrimPeelBackend { kSorted, kBinned };
-
 struct PrimConfig {
   double alpha = 0.05;   // peeling fraction removed per step
   int min_points = 20;   // mp: peel while train and val boxes hold >= mp points
   bool paste = false;    // run the pasting phase on the selected box
   double paste_alpha = 0.01;  // expansion fraction per pasting step
-  PrimPeelBackend backend = PrimPeelBackend::kBinned;
-  /// Evaluate the 2M per-dimension peel candidates on a thread pool when
-  /// > 1 and the in-box workload is large enough (kPrimParallelMinWork);
-  /// candidate selection stays in dimension order, so the result is
-  /// identical to the serial evaluation.
-  int threads = 1;
 };
-
-/// In-box points x dimensions below which parallel candidate evaluation is
-/// skipped even when PrimConfig::threads > 1 (dispatch would dominate).
-inline constexpr double kPrimParallelMinWork = 32768.0;
 
 /// Output of one PRIM run: the nested box sequence with train/validation
 /// precision and recall per box.
@@ -61,21 +41,15 @@ struct PrimResult {
 /// fractional (REDS probability labels). The paper's experiments use
 /// val == train.
 ///
-/// The peel candidates are found through the backend selected in `config`
-/// (sorted in-box views or binned histograms + exact in-bin refinement;
-/// identical results either way). Pass prebuilt indexes of `train` to
-/// amortize them across runs; when null, private ones are built
-/// (`train_binned` is only consulted by the kBinned backend).
+/// Peel candidates come from per-dimension in-box bin histograms over a
+/// BinnedIndex, which locate each peel's boundary bin in O(bins); an exact
+/// scan inside that bin refines the bound, and applying a peel touches
+/// only the removed rows. Pass prebuilt indexes of `train` to amortize them
+/// across runs; when null, private ones are built.
 PrimResult RunPrim(const Dataset& train, const Dataset& val,
                    const PrimConfig& config,
                    const ColumnIndex* train_index = nullptr,
                    const BinnedIndex* train_binned = nullptr);
-
-/// The original scalar implementation (full rescan per peel candidate).
-/// Kept as the golden reference for equivalence tests and as the baseline
-/// the perf harness measures speedups against. Same results as RunPrim.
-PrimResult RunPrimReference(const Dataset& train, const Dataset& val,
-                            const PrimConfig& config);
 
 /// PRIM peeling entirely on the quantized plane: candidates, counts and
 /// removed-mass sums come from BinnedIndex codes, per-bin aggregates and
@@ -93,9 +67,8 @@ PrimResult RunPrimReference(const Dataset& train, const Dataset& val,
 /// the only option when nothing but the stream exists); the streamed REDS
 /// driver passes the original simulated sample here, so box selection is
 /// grounded in real labels just like the materialized path's
-/// RunPrim(D_new, D). It runs the same peeling loop as RunPrim (including
-/// block-parallel candidate evaluation under PrimConfig::threads); only
-/// the pasting phase, which needs raw training values, is unsupported.
+/// RunPrim(D_new, D). It runs the same peeling loop as RunPrim; only the
+/// pasting phase, which needs raw training values, is unsupported.
 /// Requires binned.has_sorted_rows().
 PrimResult RunPrimStreamed(const BinnedIndex& binned,
                            const std::vector<double>& y,

@@ -1,21 +1,19 @@
 // Internal: the peel-candidate record and the generic peeling loop shared
-// by every PRIM backend. Split out of prim.cc so the shard coordinator can
-// drive the exact same loop over a distributed peel state (shard/) -- box
-// sequences stay bit-identical to the single-process kernels by
+// by every PRIM peel state. Split out of prim.cc so the shard coordinator
+// can drive the exact same loop over a distributed peel state (shard/) --
+// box sequences stay bit-identical to the single-process kernels by
 // construction, because there is only one loop.
 #ifndef REDS_CORE_PRIM_LOOP_H_
 #define REDS_CORE_PRIM_LOOP_H_
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <vector>
 
 #include "core/box.h"
 #include "core/dataset.h"
 #include "core/prim.h"
 #include "core/quality.h"
-#include "util/thread_pool.h"
 
 namespace reds {
 
@@ -101,12 +99,11 @@ inline BinCut MakeBinCut(const InBoxBins& bins, int n, int k, bool low_side) {
   return cut;
 }
 
-// The peeling loop, generic over the peel-state backend (all backends
-// expose the same MakeCandidate/Apply interface and produce bit-identical
-// Peels). The training data lives entirely inside the state -- this loop
-// only needs its shape and label mass -- so the same code runs
-// materialized (PeelState/BinnedPeelState), streamed (CodePeelState) and
-// sharded (shard::FleetPeelState) datasets.
+// The peeling loop, generic over the peel state (every state exposes the
+// same MakeCandidate/Apply interface). The training data lives entirely
+// inside the state -- this loop only needs its shape and label mass -- so
+// the same code runs materialized (BinnedPeelState), streamed
+// (CodePeelState) and sharded (shard::FleetPeelState) datasets.
 // `val` may be null (the streamed D_val = D case): validation stats then
 // mirror the training stats and the geometric validation cut is exactly
 // the applied peel, so there is nothing separate to track.
@@ -141,42 +138,19 @@ PrimResult RunPeelingPhase(int dims, double train_rows,
   };
   record();
 
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<Peel> candidates;
   while (train_stats.n >= config.min_points &&
          (!external_val || val_stats.n >= config.min_points)) {
-    Peel best;
     // Highest precision wins; break ties patiently (remove fewer points).
-    auto consider = [&best](const Peel& cand) {
-      if (cand.dim < 0) return;
-      if (cand.precision_after > best.precision_after ||
-          (cand.precision_after == best.precision_after &&
-           best.dim >= 0 && cand.removed_n < best.removed_n)) {
-        best = cand;
-      }
-    };
-    const bool parallel = config.threads > 1 && dims > 1 &&
-                          train_stats.n * dims >= kPrimParallelMinWork;
-    if (parallel) {
-      // Block-parallel candidate evaluation: one task per dimension, then
-      // a serial selection pass in dimension order, so the chosen peel is
-      // exactly the serial loop's.
-      if (pool == nullptr) pool = std::make_unique<ThreadPool>(config.threads);
-      candidates.assign(static_cast<size_t>(2 * dims), Peel());
-      for (int j = 0; j < dims; ++j) {
-        pool->Submit([state, j, &config, &train_stats, &candidates] {
-          candidates[static_cast<size_t>(2 * j)] =
-              state->MakeCandidate(j, true, config.alpha, train_stats);
-          candidates[static_cast<size_t>(2 * j + 1)] =
-              state->MakeCandidate(j, false, config.alpha, train_stats);
-        });
-      }
-      pool->Wait();
-      for (const Peel& cand : candidates) consider(cand);
-    } else {
-      for (int j = 0; j < dims; ++j) {
-        for (bool low : {true, false}) {
-          consider(state->MakeCandidate(j, low, config.alpha, train_stats));
+    Peel best;
+    for (int j = 0; j < dims; ++j) {
+      for (bool low : {true, false}) {
+        const Peel cand = state->MakeCandidate(j, low, config.alpha,
+                                               train_stats);
+        if (cand.dim < 0) continue;
+        if (cand.precision_after > best.precision_after ||
+            (cand.precision_after == best.precision_after &&
+             best.dim >= 0 && cand.removed_n < best.removed_n)) {
+          best = cand;
         }
       }
     }

@@ -355,7 +355,6 @@ bool DiscoveryEngine::ComputeCoalesceKey(const DiscoveryRequest& req,
   w.I32(o.tree_max_leaves);
   w.U8(o.sampler ? 1 : 0);
   w.U64(o.seed);
-  w.U8(static_cast<uint8_t>(o.data_plan));
   w.I32(o.stream_block_rows);
   w.U64(o.sampler_id.size());
   for (char c : o.sampler_id) w.U8(static_cast<uint8_t>(c));

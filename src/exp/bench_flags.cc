@@ -26,14 +26,11 @@ std::vector<std::string> SplitCommas(const std::string& s) {
   std::fprintf(stderr,
                "usage: %s [--full] [--reps K] [--threads T] [--seed S]\n"
                "          [--functions f1,f2,...] [--out DIR]\n"
-               "          [--data-plan streamed|materialized]\n"
                "  --full       paper-scale parameters (also REDS_FULL=1)\n"
                "  --reps K     repetitions per cell\n"
                "  --threads T  worker threads (default: all cores)\n"
                "  --functions  comma-separated Table-1 function names\n"
-               "  --out DIR    also write figure series as CSV files\n"
-               "  --data-plan  REDS relabeled-data ingestion (default "
-               "streamed)\n",
+               "  --out DIR    also write figure series as CSV files\n",
                prog);
   std::exit(code);
 }
@@ -68,16 +65,6 @@ BenchFlags ParseBenchFlags(int argc, char** argv) {
       flags.functions = SplitCommas(next("--functions"));
     } else if (arg == "--out") {
       flags.out_dir = next("--out");
-    } else if (arg == "--data-plan") {
-      const std::string plan = next("--data-plan");
-      if (plan == "streamed") {
-        flags.data_plan = MethodDataPlan::kStreamed;
-      } else if (plan == "materialized") {
-        flags.data_plan = MethodDataPlan::kMaterialized;
-      } else {
-        std::fprintf(stderr, "--data-plan must be streamed or materialized\n");
-        PrintUsageAndExit(argv[0], 2);
-      }
     } else if (arg == "--help" || arg == "-h") {
       PrintUsageAndExit(argv[0], 0);
     } else {

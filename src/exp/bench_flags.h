@@ -4,10 +4,9 @@
 #ifndef REDS_EXP_BENCH_FLAGS_H_
 #define REDS_EXP_BENCH_FLAGS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "core/method.h"
 
 namespace reds::exp {
 
@@ -18,10 +17,6 @@ struct BenchFlags {
   uint64_t seed = 42;        // --seed s
   std::vector<std::string> functions;  // --functions a,b,c
   std::string out_dir;       // --out dir: write figure CSVs here
-  /// --data-plan streamed|materialized: how REDS methods ingest their L
-  /// relabeled points (default: streamed, the PR 5 data plane; materialized
-  /// reproduces the historical dense-matrix path for A/B comparisons).
-  MethodDataPlan data_plan = MethodDataPlan::kStreamed;
 };
 
 /// Parses argv; prints usage and exits on --help or unknown flags.

@@ -127,8 +127,7 @@ void Runner::RunImpl() {
   // All cells run as discovery requests on a shared engine; REDS metamodels
   // are cached across method variants of the same (function, N, rep)
   // dataset, and REDS + PRIM cells stream their L relabeled points through
-  // the quantized plane (RunOptions::data_plan, default streamed) instead
-  // of materializing them per job.
+  // the quantized plane instead of materializing them per job.
   engine::EngineConfig engine_config;
   engine_config.threads = config_.threads;
   engine_config.seed = config_.seed;

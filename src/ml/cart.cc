@@ -8,7 +8,6 @@
 #include <queue>
 
 #include "ml/order_partition.h"
-#include "util/thread_pool.h"
 
 namespace reds::ml {
 
@@ -41,7 +40,6 @@ struct RegressionTree::FitContext {
   std::vector<int> pos_of;              // reference-order view of positions
   std::vector<uint8_t> goes_left;       // per position, scratch
   std::vector<int> scratch;             // partition scratch
-  std::unique_ptr<ThreadPool> pool;     // feature-parallel split search
   // Histogram backend only:
   const BinnedIndex* binned = nullptr;
   std::vector<uint8_t> codes;           // codes[f * n + p]: bin of x(rows[p], f)
@@ -116,9 +114,6 @@ void RegressionTree::Fit(const Dataset& d, const std::vector<int>& rows,
     ctx.pos_of.resize(static_cast<size_t>(n));
     std::iota(ctx.pos_of.begin(), ctx.pos_of.end(), 0);
     ctx.goes_left.resize(static_cast<size_t>(n));
-    if (config.threads > 1 && ctx.num_features > 1) {
-      ctx.pool = std::make_unique<ThreadPool>(config.threads);
-    }
     if (config.growth == GrowthPolicy::kLeafWise) {
       BuildHistogramLeafWise(&ctx, 0, n);
     } else {
@@ -183,9 +178,6 @@ void RegressionTree::Fit(const Dataset& d, const std::vector<int>& rows,
   std::iota(ctx.pos_of.begin(), ctx.pos_of.end(), 0);
   ctx.goes_left.resize(static_cast<size_t>(n));
   ctx.scratch.resize(static_cast<size_t>(n));
-  if (config.threads > 1 && ctx.num_features > 1) {
-    ctx.pool = std::make_unique<ThreadPool>(config.threads);
-  }
   Build(&ctx, 0, n, 0);
   nodes_.FinishTree();
 }
@@ -258,7 +250,7 @@ int RegressionTree::Build(FitContext* ctx, int begin, int end, int depth) {
   };
 
   const SplitCandidate best = BestSplitOverFeatures<SplitCandidate>(
-      ctx->pool.get(), features.size(), n, search_feature);
+      features.size(), search_feature);
 
   if (best.feature < 0 || best.gain <= config.min_gain) return node_index;
 
@@ -366,7 +358,7 @@ int RegressionTree::BuildHistogram(FitContext* ctx, int begin, int end,
   };
 
   const SplitCandidate best = BestSplitOverFeatures<SplitCandidate>(
-      ctx->pool.get(), features.size(), n, search_feature);
+      features.size(), search_feature);
 
   if (best.feature < 0 || best.gain <= config.min_gain) {
     ctx->hist_pool->Release(std::move(hist));
@@ -487,8 +479,7 @@ int RegressionTree::BuildHistogramLeafWise(FitContext* ctx, int begin,
       cand.left_count = s.left_count;
       return cand;
     };
-    return BestSplitOverFeatures<SplitCandidate>(ctx->pool.get(),
-                                                 features.size(), n,
+    return BestSplitOverFeatures<SplitCandidate>(features.size(),
                                                  search_feature);
   };
 

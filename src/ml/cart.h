@@ -34,7 +34,6 @@ struct TreeConfig {
   int mtry = -1;             // features sampled per split; -1: all
   double min_gain = 1e-12;   // minimal SSE reduction to accept a split
   SplitBackend backend = SplitBackend::kPresorted;
-  int threads = 1;           // feature-parallel split search when > 1
   // Frontier order. kLeafWise takes effect on the histogram backend only
   // (other backends grow depth-wise regardless): a max-gain priority queue
   // over open leaves, capped at max_leaves when > 0, with every other stop

@@ -9,7 +9,6 @@
 
 #include "ml/order_partition.h"
 #include "util/simd.h"
-#include "util/thread_pool.h"
 
 namespace reds::ml {
 
@@ -39,7 +38,6 @@ struct GradientBoostedTrees::RoundContext {
   std::vector<int> rows;                       // reference-order row list
   std::vector<uint8_t> goes_left;              // by row id
   std::vector<int> scratch;
-  ThreadPool* pool = nullptr;
   double min_child_weight = 1.0;
   double lambda = 1.0;
   double gamma = 0.0;
@@ -209,7 +207,7 @@ int GradientBoostedTrees::BuildNodeHistogram(RoundContext* ctx, int begin,
   };
 
   const Candidate best = BestSplitOverFeatures<Candidate>(
-      ctx->pool, features.size(), n, search_feature);
+      features.size(), search_feature);
 
   if (best.feature < 0) {
     ctx->hist_pool->Release(std::move(hist));
@@ -358,9 +356,7 @@ int GradientBoostedTrees::BuildLeafWise(RoundContext* ctx, int begin, int end,
       }
       return cand;
     };
-    return BestSplitOverFeatures<Candidate>(ctx->pool, features.size(),
-                                            leaf.end - leaf.begin,
-                                            search_feature);
+    return BestSplitOverFeatures<Candidate>(features.size(), search_feature);
   };
 
   std::vector<OpenLeaf> open;
@@ -480,7 +476,6 @@ int GradientBoostedTrees::BuildNodeSorted(RoundContext* ctx, int begin,
 
   if (depth >= ctx->max_depth || end - begin < 2) return node_index;
 
-  const int n = end - begin;
   const double parent_score = LeafScore(g_sum, h_sum, ctx->lambda);
   const std::vector<int>& features = *ctx->features;
 
@@ -523,7 +518,7 @@ int GradientBoostedTrees::BuildNodeSorted(RoundContext* ctx, int begin,
   };
 
   const Candidate best = BestSplitOverFeatures<Candidate>(
-      ctx->pool, features.size(), n, search_feature);
+      features.size(), search_feature);
 
   if (best.feature < 0) return node_index;
 
@@ -625,11 +620,6 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
   assert(config_.backend != SplitBackend::kHistogram ||
          (binned->num_rows() == d.num_rows() &&
           binned->num_cols() == d.num_cols()));
-  std::unique_ptr<ThreadPool> pool;
-  if (config_.backend != SplitBackend::kExact && config_.threads > 1 &&
-      d.num_cols() > 1) {
-    pool = std::make_unique<ThreadPool>(config_.threads);
-  }
   std::unique_ptr<HistogramPool> hist_pool;
   if (config_.backend == SplitBackend::kHistogram) {
     hist_pool = std::make_unique<HistogramPool>(
@@ -688,7 +678,6 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
       ctx.grad = &grad;
       ctx.hess = &hess;
       ctx.features = &features;
-      ctx.pool = pool.get();
       ctx.min_child_weight = config_.min_child_weight;
       ctx.lambda = config_.lambda;
       ctx.gamma = config_.gamma;

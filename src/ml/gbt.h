@@ -36,7 +36,6 @@ struct GbtConfig {
   double colsample = 1.0;        // feature subsampling per round
   double base_score = 0.5;       // initial probability
   SplitBackend backend = SplitBackend::kPresorted;
-  int threads = 1;               // feature-parallel split search when > 1
   // Frontier order. kLeafWise takes effect on the histogram backend only
   // (the other backends grow depth-wise regardless): a max-gain priority
   // queue over open leaves, bounded by max_leaves when > 0. max_depth still

@@ -1,9 +1,9 @@
 // Shared presorted split-search utilities for the tree learners. When a
 // node splits, every per-feature value-sorted index array must be
 // partitioned stably by the left/right membership mask so each child's
-// segment stays value-sorted; and large nodes may search their candidate
-// features in parallel with a deterministic merge. CART works on position
-// arrays, GBT on row-id arrays; both loops are identical.
+// segment stays value-sorted; and every node keeps the best of its
+// candidate features' splits. CART works on position arrays, GBT on row-id
+// arrays; both loops are identical.
 #ifndef REDS_ML_ORDER_PARTITION_H_
 #define REDS_ML_ORDER_PARTITION_H_
 
@@ -11,13 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/thread_pool.h"
-
 namespace reds::ml {
-
-/// Nodes smaller than this are searched serially even when a pool exists:
-/// the dispatch overhead dominates the per-feature scan below it.
-inline constexpr int kParallelNodeMin = 4096;
 
 /// Stably partitions segment [begin, end) of every array in `orders` so
 /// entries with goes_left[entry] != 0 precede the rest, preserving relative
@@ -41,31 +35,16 @@ inline void StablePartitionOrders(std::vector<std::vector<int>>* orders,
   }
 }
 
-/// Runs search(fi) for fi in [0, num_candidates) — on `pool` when the node
-/// is large enough, serially otherwise — and merges the per-candidate bests
-/// in candidate order with a strict `gain >` comparison, so the winner is
-/// the same as the serial loop's. Candidate needs `int feature` (< 0 =
-/// none) and `double gain` members.
+/// Runs search(fi) for fi in [0, num_candidates) and keeps the first
+/// candidate with the highest gain (strict `gain >`, in candidate order).
+/// Candidate needs `int feature` (< 0 = none) and `double gain` members.
 template <typename Candidate, typename SearchFn>
-Candidate BestSplitOverFeatures(ThreadPool* pool, size_t num_candidates,
-                                int node_size, const SearchFn& search) {
+Candidate BestSplitOverFeatures(size_t num_candidates,
+                                const SearchFn& search) {
   Candidate best;
-  if (pool != nullptr && node_size >= kParallelNodeMin && num_candidates > 1) {
-    std::vector<Candidate> per_feature(num_candidates);
-    for (size_t fi = 0; fi < num_candidates; ++fi) {
-      pool->Submit([&per_feature, &search, fi] {
-        per_feature[fi] = search(fi);
-      });
-    }
-    pool->Wait();
-    for (const Candidate& cand : per_feature) {
-      if (cand.feature >= 0 && cand.gain > best.gain) best = cand;
-    }
-  } else {
-    for (size_t fi = 0; fi < num_candidates; ++fi) {
-      const Candidate cand = search(fi);
-      if (cand.feature >= 0 && cand.gain > best.gain) best = cand;
-    }
+  for (size_t fi = 0; fi < num_candidates; ++fi) {
+    const Candidate cand = search(fi);
+    if (cand.feature >= 0 && cand.gain > best.gain) best = cand;
   }
   return best;
 }

@@ -33,9 +33,8 @@ namespace {
 using ModelFactory = std::function<std::unique_ptr<Metamodel>()>;
 
 // Row-id views of one CV fold: the ascending training rows and the
-// held-out rows. The streamed plan fits candidates through these plus the
-// shared full-data indexes; the materialized plan copies `train_rows` into
-// a fold dataset.
+// held-out rows. Candidates fit through these plus the shared full-data
+// indexes.
 struct CvFoldRows {
   std::vector<int> train_rows;
   std::vector<int> test_rows;
@@ -43,8 +42,7 @@ struct CvFoldRows {
 
 // The fold membership is computed once per tuning run so every grid
 // candidate is scored on identical folds (caret's protocol). Degenerate
-// folds (empty train or test side) are dropped, matching the historical
-// materialized behavior.
+// folds (empty train or test side) are dropped.
 std::vector<CvFoldRows> BuildFoldRows(int n, int folds, uint64_t seed) {
   const std::vector<int> fold = FoldAssignment(n, folds, seed);
   std::vector<CvFoldRows> out;
@@ -56,35 +54,6 @@ std::vector<CvFoldRows> BuildFoldRows(int n, int folds, uint64_t seed) {
     }
     if (rows.train_rows.empty() || rows.test_rows.empty()) continue;
     out.push_back(std::move(rows));
-  }
-  return out;
-}
-
-// One materialized CV fold: the copied training subset and its columnar
-// (and, under the histogram backend, binned) views shared by every grid
-// candidate fit on the fold. Reference plan only -- residency scales with
-// k fold-matrix copies.
-struct CvFold {
-  Dataset train;
-  std::vector<int> test_rows;
-  std::shared_ptr<const ColumnIndex> index;
-  std::shared_ptr<const BinnedIndex> binned;
-};
-
-std::vector<CvFold> BuildCvFolds(const Dataset& d, int folds, uint64_t seed,
-                                 SplitBackend backend, bool tree_family) {
-  std::vector<CvFold> out;
-  for (CvFoldRows& rows : BuildFoldRows(d.num_rows(), folds, seed)) {
-    CvFold cv;
-    cv.train = d.SubsetRows(rows.train_rows);
-    cv.test_rows = std::move(rows.test_rows);
-    if (tree_family) {
-      cv.index = ColumnIndex::Build(cv.train);
-      if (backend == SplitBackend::kHistogram) {
-        cv.binned = BinnedIndex::Build(*cv.index);
-      }
-    }
-    out.push_back(std::move(cv));
   }
   return out;
 }
@@ -108,65 +77,46 @@ double HeldOutLoss(const Metamodel& model, const Dataset& d,
   return LogLoss(prob, y);
 }
 
-// Fits a candidate on fold f with the given seed. Both fold plans score
-// through CellLosses, so their losses can only differ through the fits.
-using FoldFit = std::function<std::unique_ptr<Metamodel>(
-    const ModelFactory&, size_t f, uint64_t seed)>;
-
-// Mean CV log-loss of each grid cell in `cells` over the `folds` folds
-// built (degenerate folds are skipped, but the mean still divides by
-// `num_folds`). Every (cell, fold) fit is one fork-join index writing its
-// own slot; each cell's fold losses are then summed in fold order, so the
-// doubles match the serial fold loop's bit for bit. Cell g's fold seeds
-// come from DeriveSeed(seed, g).
-std::vector<double> CellLosses(
-    const std::vector<ModelFactory>& grid, const std::vector<int>& cells,
-    const Dataset& d, size_t folds, int num_folds, uint64_t seed,
-    const FoldFit& fit_fold,
-    const std::function<const std::vector<int>&(size_t)>& test_rows) {
-  std::vector<double> fold_loss(cells.size() * folds);
+// Mean CV log-loss of each grid cell in `cells` over `folds` (degenerate
+// folds are skipped, but the mean still divides by `num_folds`). Every
+// (cell, fold) candidate fits through the fold's row view over the shared
+// full-data indexes, so nothing fold-sized is ever copied and each
+// transient fit holds only its own working set. Each fit is one fork-join
+// index writing its own slot; each cell's fold losses are then summed in
+// fold order, so the doubles match the serial fold loop's bit for bit.
+// Cell g's fold seeds come from DeriveSeed(seed, g).
+std::vector<double> CellLosses(const std::vector<ModelFactory>& grid,
+                               const std::vector<int>& cells, const Dataset& d,
+                               const std::vector<CvFoldRows>& folds,
+                               int num_folds, uint64_t seed,
+                               const ColumnIndex* index,
+                               const BinnedIndex* binned) {
+  const size_t k_folds = folds.size();
+  std::vector<double> fold_loss(cells.size() * k_folds);
   ParallelFor(0, static_cast<int>(fold_loss.size()), [&](int k) {
-    const size_t c = static_cast<size_t>(k) / folds;
-    const size_t f = static_cast<size_t>(k) % folds;
+    const size_t c = static_cast<size_t>(k) / k_folds;
+    const size_t f = static_cast<size_t>(k) % k_folds;
     const int g = cells[c];
     const uint64_t g_seed = DeriveSeed(seed, static_cast<uint64_t>(g));
-    const std::unique_ptr<Metamodel> model =
-        fit_fold(grid[static_cast<size_t>(g)], f,
-                 DeriveSeed(g_seed, static_cast<uint64_t>(f) + 101));
-    fold_loss[static_cast<size_t>(k)] = HeldOutLoss(*model, d, test_rows(f));
+    const std::unique_ptr<Metamodel> model = grid[static_cast<size_t>(g)]();
+    model->FitOnRows(d, folds[f].train_rows,
+                     DeriveSeed(g_seed, static_cast<uint64_t>(f) + 101), index,
+                     binned);
+    fold_loss[static_cast<size_t>(k)] =
+        HeldOutLoss(*model, d, folds[f].test_rows);
   });
   std::vector<double> loss(cells.size());
   for (size_t c = 0; c < cells.size(); ++c) {
     double total = 0.0;
-    for (size_t f = 0; f < folds; ++f) total += fold_loss[c * folds + f];
+    for (size_t f = 0; f < k_folds; ++f) total += fold_loss[c * k_folds + f];
     loss[c] = total / num_folds;
   }
   return loss;
 }
 
-// CellLosses under the streamed fold plan: candidates fit through per-fold
-// row views over the shared full-data indexes, so nothing fold-sized is
-// ever copied and each transient fit holds only its own working set.
-// Bit-identical to the materialized plan wherever FitOnRows is (see
-// ml/model.h).
-std::vector<double> StreamedCellLosses(
-    const std::vector<ModelFactory>& grid, const std::vector<int>& cells,
-    const Dataset& d, const std::vector<CvFoldRows>& folds, int num_folds,
-    uint64_t seed, const ColumnIndex* index, const BinnedIndex* binned) {
-  return CellLosses(
-      grid, cells, d, folds.size(), num_folds, seed,
-      [&](const ModelFactory& factory, size_t f, uint64_t fold_seed) {
-        auto model = factory();
-        model->FitOnRows(d, folds[f].train_rows, fold_seed, index, binned);
-        return model;
-      },
-      [&](size_t f) -> const std::vector<int>& { return folds[f].test_rows; });
-}
-
-// The full-data views every streamed fold fit shares, reusing the caller's
-// prebuilt indexes when given. Building the full index here is still
-// strictly smaller than the materialized plan's k fold indexes of
-// ~(k-1)/k rows each.
+// The full-data views every fold fit shares, reusing the caller's prebuilt
+// indexes when given. Building the full index here is still strictly
+// smaller than k fold indexes of ~(k-1)/k rows each.
 struct SharedViews {
   std::shared_ptr<const ColumnIndex> owned_index;
   std::shared_ptr<const BinnedIndex> owned_binned;
@@ -200,30 +150,11 @@ std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
                                     const BinnedIndex* binned) {
   std::vector<int> cells(grid.size());
   for (size_t g = 0; g < grid.size(); ++g) cells[g] = static_cast<int>(g);
-  std::vector<double> losses;
-  SharedViews views;  // kept alive for the refit below
-  if (config.fold_plan == CvFoldPlan::kStreamed) {
-    views = MakeSharedViews(d, config, tree_family, index, binned);
-    index = views.index;
-    binned = views.binned;
-    losses = StreamedCellLosses(grid, cells, d,
-                                BuildFoldRows(d.num_rows(), config.folds, seed),
-                                config.folds, seed, index, binned);
-  } else {
-    const std::vector<CvFold> folds =
-        BuildCvFolds(d, config.folds, seed, config.backend, tree_family);
-    losses = CellLosses(
-        grid, cells, d, folds.size(), config.folds, seed,
-        [&](const ModelFactory& factory, size_t f, uint64_t fold_seed) {
-          auto model = factory();
-          model->Fit(folds[f].train, fold_seed, folds[f].index.get(),
-                     folds[f].binned.get());
-          return model;
-        },
-        [&](size_t f) -> const std::vector<int>& {
-          return folds[f].test_rows;
-        });
-  }
+  const SharedViews views =  // kept alive for the refit below
+      MakeSharedViews(d, config, tree_family, index, binned);
+  const std::vector<double> losses = CellLosses(
+      grid, cells, d, BuildFoldRows(d.num_rows(), config.folds, seed),
+      config.folds, seed, views.index, views.binned);
   // Argmin first-wins in cell order.
   double best_loss = std::numeric_limits<double>::infinity();
   size_t best = 0;
@@ -236,8 +167,8 @@ std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
   auto model = grid[best]();
   // The winner refits on all of d; passing the shared full-data views is
   // bit-identical to letting Fit build its own (they are constructed the
-  // same way), so the refit matches across fold plans.
-  model->Fit(d, DeriveSeed(seed, 0xf17ULL), index, binned);
+  // same way), so the refit matches TuningCellFit's.
+  model->Fit(d, DeriveSeed(seed, 0xf17ULL), views.index, views.binned);
   return model;
 }
 
@@ -379,10 +310,17 @@ double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
   // Same per-cell seed stream and fold-order sum as PickBest, so a cell's
   // loss is the same whether it is evaluated here (a shard worker) or
   // inline.
-  return StreamedCellLosses(grid, {cell}, d,
-                            BuildFoldRows(d.num_rows(), config.folds, seed),
-                            config.folds, seed, views.index, views.binned)
+  return CellLosses(grid, {cell}, d,
+                    BuildFoldRows(d.num_rows(), config.folds, seed),
+                    config.folds, seed, views.index, views.binned)
       .front();
+}
+
+std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
+                                           int num_features,
+                                           const TuningConfig& config) {
+  return BuildTuningGrid(kind, num_features, config)[static_cast<size_t>(
+      cell)]();
 }
 
 std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
@@ -390,9 +328,7 @@ std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
                                          const TuningConfig& config,
                                          const ColumnIndex* index,
                                          const BinnedIndex* binned) {
-  const std::vector<ModelFactory> grid =
-      BuildTuningGrid(kind, d.num_cols(), config);
-  auto model = grid[static_cast<size_t>(cell)]();
+  auto model = TuningCellModel(kind, cell, d.num_cols(), config);
   model->Fit(d, DeriveSeed(seed, 0xf17ULL), index, binned);
   return model;
 }

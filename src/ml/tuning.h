@@ -21,22 +21,11 @@ namespace reds::ml {
 /// default bench runs stay fast; kFull approximates the paper's setting.
 enum class TuningBudget { kQuick, kFull };
 
-/// How the k-fold grid search holds its folds. kStreamed (default) fits
-/// every candidate through per-fold row views over one shared full-data
-/// index, so tuning residency stays O(1 fold) regardless of k; it is
-/// bit-identical to kMaterialized wherever the backend index is exact
-/// (presorted always; histogram under exact packing), and picks the same
-/// grid cell. kMaterialized copies and re-indexes every fold's training
-/// matrix up front -- retained as the reference plan the streamed one is
-/// equivalence-tested against.
-enum class CvFoldPlan { kStreamed, kMaterialized };
-
 struct TuningConfig {
   TuningBudget budget = TuningBudget::kQuick;
   int folds = 5;
   /// Split-search kernel every tree candidate in the grid runs on.
   SplitBackend backend = SplitBackend::kPresorted;
-  CvFoldPlan fold_plan = CvFoldPlan::kStreamed;
   /// Tree growth order for the tree families (see ml/histogram.h); applied
   /// to every grid candidate and to the final refit.
   GrowthPolicy growth = GrowthPolicy::kDepthWise;
@@ -49,11 +38,10 @@ std::vector<int> FoldAssignment(int n, int k, uint64_t seed);
 
 /// Tunes the given metamodel family by grid search with k-fold CV on
 /// log-loss, then refits the winning configuration on all of d. Every grid
-/// candidate is evaluated on the same folds. Under the default streamed
-/// fold plan the candidates fit through row views over one shared
-/// full-data index (prebuilt `index`/`binned` of d are reused when given);
-/// under the materialized plan each fold's training subset is copied and
-/// indexed exactly once, grid-wide.
+/// candidate is evaluated on the same folds, fitting through per-fold row
+/// views over one shared full-data index (prebuilt `index`/`binned` of d
+/// are reused when given), so tuning residency stays O(1 fold) whatever k
+/// is and no fold's training matrix is ever copied.
 std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
                                       uint64_t seed,
                                       const TuningConfig& config = {},
@@ -68,10 +56,16 @@ std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
 int TuningGridSize(MetamodelKind kind, int num_features,
                    const TuningConfig& config);
 
-/// Mean CV log-loss of grid cell `cell` under the streamed fold plan, with
-/// the same folds (seed-derived) and per-cell seed stream as TuneAndFit --
-/// evaluating a cell here (e.g. on a shard worker) or inline gives the
-/// same double. Prebuilt full-data indexes of d are reused when given.
+/// Unfitted model of grid cell `cell`: the configuration TuningCellLoss
+/// scores and TuningCellFit refits.
+std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
+                                           int num_features,
+                                           const TuningConfig& config);
+
+/// Mean CV log-loss of grid cell `cell`, with the same folds (seed-derived)
+/// and per-cell seed stream as TuneAndFit -- evaluating a cell here (e.g. on
+/// a shard worker) or inline gives the same double. Prebuilt full-data
+/// indexes of d are reused when given.
 double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
                       uint64_t seed, const TuningConfig& config,
                       const ColumnIndex* index = nullptr,

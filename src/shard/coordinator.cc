@@ -249,8 +249,16 @@ struct FleetPeelState {
     }
     stats->n -= peel.removed_n;
     stats->n_pos -= peel.removed_pos;
-    assert(coord->box_n_ == static_cast<int64_t>(stats->n) &&
-           "fleet aggregates drifted from the peel accounting");
+    if (coord->box_n_ != static_cast<int64_t>(stats->n)) {
+      // A worker's reply disagrees with the peel it was sent: stop the
+      // same way, rather than keep peeling on aggregates that no longer
+      // add up.
+      error = Status::RuntimeError(
+          "shard coordinator: fleet aggregates hold " +
+          std::to_string(coord->box_n_) + " in-box rows after a peel, the "
+          "peel accounting " + std::to_string(static_cast<int64_t>(stats->n)));
+      coord->box_n_ = 0;
+    }
   }
 };
 

@@ -105,14 +105,12 @@ TEST(BumpingEquivalenceTest, MatchesReferenceOverFunctionsSeedsAndMGrid) {
           config.m = m;
           // The oracle peels with the sorted kernel, so the binned kernel's
           // edge-anchored walks are checked against it too.
-          BumpingConfig ref_config = config;
-          ref_config.prim.backend = PrimPeelBackend::kSorted;
           const std::string label = std::string(name) +
                                     " seed=" + std::to_string(seed) +
                                     " m=" + std::to_string(m) +
                                     (fractional ? " fractional" : " 0/1");
           ExpectSameBumping(
-              reference::RunPrimBumpingReference(train, val, ref_config, 7),
+              reference::RunPrimBumpingReference(train, val, config, 7),
               RunPrimBumping(train, val, config, 7), label);
         }
       }

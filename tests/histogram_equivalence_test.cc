@@ -111,31 +111,6 @@ TEST(HistogramCartTest, SubtractionTrickMatchesScanUnderBootstrap) {
   }
 }
 
-TEST(HistogramCartTest, FeatureParallelHistogramSearchMatchesSerial) {
-  const Dataset d = MakeData(6000, 6, 221, /*fractional=*/false, 50);
-  const Dataset probe = MakeData(200, 6, 222, /*fractional=*/false);
-  ml::TreeConfig config;
-  config.max_depth = 6;
-  config.backend = ml::SplitBackend::kHistogram;
-  ml::RegressionTree serial;
-  {
-    Rng rng(5);
-    serial.Fit(d, config, &rng);
-  }
-  ml::RegressionTree parallel;
-  {
-    ml::TreeConfig c = config;
-    c.threads = 4;
-    Rng rng(5);
-    parallel.Fit(d, c, &rng);
-  }
-  ASSERT_EQ(serial.num_nodes(), parallel.num_nodes());
-  for (int i = 0; i < probe.num_rows(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.Predict(probe.row(i)),
-                     parallel.Predict(probe.row(i)));
-  }
-}
-
 TEST(HistogramGbtTest, BitIdenticalToPresortedWhenAllValuesDistinct) {
   // n = 220 continuous rows: every value distinct, so every bin holds one
   // row and even the floating-point gradient prefix sums accumulate in the

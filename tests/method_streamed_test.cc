@@ -1,11 +1,11 @@
-// The streamed REDS contract at the method layer: under
-// MethodDataPlan::kStreamed the relabeled points flow RedsRelabelStreamed
-// -> BuildStreamed -> RunPrimStreamed and never materialize, yet in the
-// exact-pack regime (every sampled column <= 256 distinct values) the
-// discovered boxes are bit-identical to the materialized plan's -- across
-// metamodel kinds, probability labels, and seeds -- and both ingestion
-// paths hash to identical fingerprints, so they share every engine cache
-// tier.
+// The streamed REDS contract at the method layer: for REDS + PRIM the
+// relabeled points flow RedsRelabelStreamed -> BuildStreamed ->
+// RunPrimStreamed and never materialize, yet in the exact-pack regime
+// (every sampled column <= 256 distinct values) the discovered boxes are
+// bit-identical to relabeling into a dense matrix (RedsRelabel) and
+// peeling it (RunPrim) -- across metamodel kinds, probability labels, and
+// seeds -- and both ingestion paths hash to identical fingerprints, so
+// they share every engine cache tier.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +19,7 @@
 #include "engine/fingerprint.h"
 #include "functions/datagen.h"
 #include "functions/registry.h"
+#include "reference_method.h"
 
 namespace reds {
 namespace {
@@ -42,13 +43,12 @@ Dataset MakeTrainData(uint64_t seed) {
                                   seed);
 }
 
-RunOptions GridOptions(uint64_t seed, MethodDataPlan plan) {
+RunOptions GridOptions(uint64_t seed) {
   RunOptions o;
   o.l_prim = 2000;
   o.tune_metamodel = false;
   o.sampler = MakeGridSampler(64);
   o.seed = seed;
-  o.data_plan = plan;
   return o;
 }
 
@@ -64,18 +64,18 @@ void ExpectSameOutput(const MethodOutput& a, const MethodOutput& b,
 }
 
 // The equivalence sweep the data plane promises: REDS + PRIM methods x
-// seeds, streamed vs materialized, identical boxes in the exact-pack
-// regime.
+// seeds, streamed vs the materialized oracle (tests/reference_method.h),
+// identical boxes in the exact-pack regime.
 TEST(MethodStreamedTest, StreamedMatchesMaterializedInExactPackRegime) {
   for (const char* method : {"RPf", "RPx", "RPxp"}) {
     for (uint64_t seed : {11ULL, 29ULL}) {
       const Dataset train = MakeTrainData(seed);
       const auto spec = MethodSpec::Parse(method);
       ASSERT_TRUE(spec.ok());
-      const MethodOutput streamed = RunMethod(
-          *spec, train, GridOptions(seed, MethodDataPlan::kStreamed));
-      const MethodOutput materialized = RunMethod(
-          *spec, train, GridOptions(seed, MethodDataPlan::kMaterialized));
+      const RunOptions options = GridOptions(seed);
+      const MethodOutput streamed = RunMethod(*spec, train, options);
+      const MethodOutput materialized =
+          reference::RunRedsPrimMaterialized(*spec, train, options);
       ExpectSameOutput(streamed, materialized,
                        std::string(method) + " seed " + std::to_string(seed));
     }
@@ -83,17 +83,17 @@ TEST(MethodStreamedTest, StreamedMatchesMaterializedInExactPackRegime) {
 }
 
 // PlanMethod resolves the streamed plan exactly for REDS + plain PRIM;
-// BI and bumping keep the materializing fallback no matter the knob.
+// BI, bumping and every non-REDS method materialize.
 TEST(MethodStreamedTest, PlanResolvesStreamedOnlyForRedsPrim) {
   const Dataset train = MakeTrainData(3);
-  const RunOptions streamed = GridOptions(3, MethodDataPlan::kStreamed);
-  const RunOptions materialized = GridOptions(3, MethodDataPlan::kMaterialized);
-  EXPECT_TRUE(
-      PlanMethod(*MethodSpec::Parse("RPx"), train, streamed).streamed_relabel);
-  EXPECT_FALSE(PlanMethod(*MethodSpec::Parse("RPx"), train, materialized)
-                   .streamed_relabel);
-  for (const char* method : {"P", "Pc", "PB", "BI", "RBIcxp"}) {
-    EXPECT_FALSE(PlanMethod(*MethodSpec::Parse(method), train, streamed)
+  const RunOptions options = GridOptions(3);
+  for (const char* method : {"RPx", "RPf", "RPxp"}) {
+    EXPECT_TRUE(PlanMethod(*MethodSpec::Parse(method), train, options)
+                    .streamed_relabel)
+        << method;
+  }
+  for (const char* method : {"P", "Pc", "PB", "BI", "RBIcxp", "RPBx"}) {
+    EXPECT_FALSE(PlanMethod(*MethodSpec::Parse(method), train, options)
                      .streamed_relabel)
         << method;
   }
@@ -142,7 +142,7 @@ TEST(MethodStreamedTest, StreamedPlanIndependentOfBlockSize) {
   const Dataset train = MakeTrainData(5);
   const auto spec = MethodSpec::Parse("RPx");
   ASSERT_TRUE(spec.ok());
-  RunOptions base = GridOptions(5, MethodDataPlan::kStreamed);
+  RunOptions base = GridOptions(5);
   const MethodOutput reference = RunMethod(*spec, train, base);
   for (int block : {128, 1024}) {
     RunOptions options = base;
@@ -157,7 +157,7 @@ TEST(MethodStreamedTest, StreamedPlanIndependentOfBlockSize) {
 // run must stay deterministic and structurally valid.
 TEST(MethodStreamedTest, ContinuousSamplerIsDeterministic) {
   const Dataset train = MakeTrainData(13);
-  RunOptions options = GridOptions(13, MethodDataPlan::kStreamed);
+  RunOptions options = GridOptions(13);
   options.sampler = {};  // default uniform: continuous
   const auto spec = MethodSpec::Parse("RPx");
   ASSERT_TRUE(spec.ok());

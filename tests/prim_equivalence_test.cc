@@ -1,9 +1,9 @@
-// Golden equivalence: the sorted-index kernels (PRIM peeling + pasting, BI
-// beam refinement, presorted CART/GBT split search) must reproduce the
-// reference scalar implementations' results across seeds, alphas, and label
-// types. Hard {0,1} labels make every internal sum exact, so equality is
-// bitwise; fractional labels may reorder floating-point accumulation, so
-// those cases assert near-equality.
+// Golden equivalence: the library kernels (binned PRIM peeling + indexed
+// pasting, BI beam refinement, presorted CART/GBT split search) must
+// reproduce the reference implementations' results (tests/reference_prim.h
+// for PRIM) across seeds, alphas, and label types. Hard {0,1} labels make
+// every internal sum exact, so equality is bitwise; fractional labels may
+// reorder floating-point accumulation, so those cases assert near-equality.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
 #include "hold_slots.h"
+#include "reference_prim.h"
 #include "util/rng.h"
 
 namespace reds {
@@ -64,7 +65,7 @@ TEST(PrimEquivalenceTest, SameBoxSequenceAcrossSeedsAndAlphas) {
       const Dataset d = MakeData(600, 5, seed, /*fractional=*/false);
       PrimConfig config;
       config.alpha = alpha;
-      const PrimResult ref = RunPrimReference(d, d, config);
+      const PrimResult ref = reference::RunPrimReference(d, d, config);
       const PrimResult opt = RunPrim(d, d, config);
       ExpectSamePrimResult(ref, opt,
                            "seed=" + std::to_string(seed) +
@@ -81,7 +82,7 @@ TEST(PrimEquivalenceTest, SameBoxSequenceWithProbabilityLabels) {
     const Dataset d = MakeData(600, 5, seed, /*fractional=*/true);
     PrimConfig config;
     config.alpha = 0.07;
-    const PrimResult ref = RunPrimReference(d, d, config);
+    const PrimResult ref = reference::RunPrimReference(d, d, config);
     const PrimResult opt = RunPrim(d, d, config);
     ASSERT_EQ(ref.boxes.size(), opt.boxes.size()) << seed;
     EXPECT_EQ(ref.best_val_index, opt.best_val_index) << seed;
@@ -104,7 +105,7 @@ TEST(PrimEquivalenceTest, SameResultWithTiesAndPasting) {
     config.alpha = 0.05;
     config.paste = true;
     config.paste_alpha = 0.02;
-    const PrimResult ref = RunPrimReference(d, d, config);
+    const PrimResult ref = reference::RunPrimReference(d, d, config);
     const PrimResult opt = RunPrim(d, d, config);
     ExpectSamePrimResult(ref, opt, "paste seed=" + std::to_string(seed));
   }
@@ -125,7 +126,7 @@ TEST(PrimEquivalenceTest, SeparateValidationData) {
   const Dataset val = MakeData(300, 4, 42, /*fractional=*/false);
   PrimConfig config;
   config.alpha = 0.05;
-  const PrimResult ref = RunPrimReference(train, val, config);
+  const PrimResult ref = reference::RunPrimReference(train, val, config);
   const PrimResult opt = RunPrim(train, val, config);
   ExpectSamePrimResult(ref, opt, "train != val");
 }
@@ -139,13 +140,10 @@ TEST(PrimEquivalenceTest, BinnedBackendMatchesSortedBitForBit) {
     for (bool fractional : {false, true}) {
       for (int distinct : {0, 6}) {
         const Dataset d = MakeData(700, 5, seed, fractional, distinct);
-        PrimConfig sorted_config;
-        sorted_config.backend = PrimPeelBackend::kSorted;
-        sorted_config.paste = true;
-        PrimConfig binned_config = sorted_config;
-        binned_config.backend = PrimPeelBackend::kBinned;
-        const PrimResult sorted_run = RunPrim(d, d, sorted_config);
-        const PrimResult binned_run = RunPrim(d, d, binned_config);
+        PrimConfig config;
+        config.paste = true;
+        const PrimResult sorted_run = reference::RunPrimSorted(d, d, config);
+        const PrimResult binned_run = RunPrim(d, d, config);
         ExpectSamePrimResult(sorted_run, binned_run,
                              "seed=" + std::to_string(seed) +
                                  " fractional=" + std::to_string(fractional) +
@@ -159,12 +157,9 @@ TEST(PrimEquivalenceTest, BinnedBackendWithMoreRowsThanBins) {
   // More rows than bins forces real quantization (multiple values per bin),
   // exercising the in-bin refinement on every peel.
   const Dataset d = MakeData(3000, 4, 131, /*fractional=*/true);
-  PrimConfig sorted_config;
-  sorted_config.backend = PrimPeelBackend::kSorted;
-  PrimConfig binned_config = sorted_config;
-  binned_config.backend = PrimPeelBackend::kBinned;
-  const PrimResult sorted_run = RunPrim(d, d, sorted_config);
-  const PrimResult binned_run = RunPrim(d, d, binned_config);
+  const PrimConfig config;
+  const PrimResult sorted_run = reference::RunPrimSorted(d, d, config);
+  const PrimResult binned_run = RunPrim(d, d, config);
   ExpectSamePrimResult(sorted_run, binned_run, "3000 rows");
 }
 
@@ -179,22 +174,6 @@ TEST(PrimEquivalenceTest, PrebuiltBinnedIndexMatchesPrivateBuild) {
   ExpectSamePrimResult(with_indexes, without, "prebuilt binned index");
 }
 
-TEST(PrimEquivalenceTest, ParallelCandidateEvaluationMatchesSerial) {
-  // Enough rows that the in-box workload clears kPrimParallelMinWork for
-  // many peels; the parallel path must select the identical peel sequence.
-  const Dataset d = MakeData(9000, 6, 151, /*fractional=*/false);
-  for (PrimPeelBackend backend :
-       {PrimPeelBackend::kSorted, PrimPeelBackend::kBinned}) {
-    PrimConfig serial_config;
-    serial_config.backend = backend;
-    PrimConfig parallel_config = serial_config;
-    parallel_config.threads = 4;
-    const PrimResult serial_run = RunPrim(d, d, serial_config);
-    const PrimResult parallel_run = RunPrim(d, d, parallel_config);
-    ExpectSamePrimResult(serial_run, parallel_run, "parallel candidates");
-  }
-}
-
 TEST(PrimEquivalenceTest, ValidatingOnTheTrainingDataMatchesACopy) {
   // RunPrim(d, d) with {0,1} labels mirrors the training stats instead of
   // re-cutting the validation rows; with fractional labels it keeps the
@@ -205,16 +184,16 @@ TEST(PrimEquivalenceTest, ValidatingOnTheTrainingDataMatchesACopy) {
       for (int distinct : {0, 5}) {
         const Dataset d = MakeData(400, 4, seed, fractional, distinct);
         const Dataset copy = d;
-        for (PrimPeelBackend backend :
-             {PrimPeelBackend::kSorted, PrimPeelBackend::kBinned}) {
-          PrimConfig config;
-          config.backend = backend;
-          config.min_points = 10;
-          ExpectSamePrimResult(RunPrim(d, copy, config), RunPrim(d, d, config),
-                               "seed=" + std::to_string(seed) +
-                                   " fractional=" + std::to_string(fractional) +
-                                   " distinct=" + std::to_string(distinct));
-        }
+        PrimConfig config;
+        config.min_points = 10;
+        const std::string label = "seed=" + std::to_string(seed) +
+                                  " fractional=" + std::to_string(fractional) +
+                                  " distinct=" + std::to_string(distinct);
+        ExpectSamePrimResult(RunPrim(d, copy, config), RunPrim(d, d, config),
+                             label);
+        ExpectSamePrimResult(reference::RunPrimSorted(d, copy, config),
+                             reference::RunPrimSorted(d, d, config),
+                             label + " sorted");
       }
     }
   }
@@ -231,17 +210,16 @@ TEST(PrimEquivalenceTest, TinyDatasetsMatchAcrossKernels) {
           PrimConfig config;
           config.min_points = 1;
           config.alpha = 0.1;
-          PrimConfig sorted_config = config;
-          sorted_config.backend = PrimPeelBackend::kSorted;
           const std::string label =
               "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
               " distinct=" + std::to_string(distinct) +
               " fractional=" + std::to_string(fractional);
-          const PrimResult sorted_run = RunPrim(d, d, sorted_config);
+          const PrimResult sorted_run =
+              reference::RunPrimSorted(d, d, config);
           ExpectSamePrimResult(sorted_run, RunPrim(d, d, config), label);
           if (!fractional) {
-            ExpectSamePrimResult(RunPrimReference(d, d, config), sorted_run,
-                                 label + " reference");
+            ExpectSamePrimResult(reference::RunPrimReference(d, d, config),
+                                 sorted_run, label + " reference");
           }
         }
       }
@@ -268,9 +246,7 @@ TEST(PrimEquivalenceTest, HighSideTiesMatchAcrossKernels) {
         PrimConfig config;
         config.alpha = alpha;
         config.min_points = 5;
-        PrimConfig sorted_config = config;
-        sorted_config.backend = PrimPeelBackend::kSorted;
-        ExpectSamePrimResult(RunPrim(d, d, sorted_config),
+        ExpectSamePrimResult(reference::RunPrimSorted(d, d, config),
                              RunPrim(d, d, config),
                              "seed=" + std::to_string(seed) +
                                  " alpha=" + std::to_string(alpha) +
@@ -300,9 +276,8 @@ TEST(PrimEquivalenceTest, StreamedKernelMatchesOnTinyAndEdgeTiedData) {
         PrimConfig config;
         config.alpha = 0.1;
         config.min_points = n < 30 ? 1 : 5;
-        config.backend = PrimPeelBackend::kSorted;
         ExpectSamePrimResult(
-            RunPrim(*d, *d, config),
+            reference::RunPrimSorted(*d, *d, config),
             RunPrimStreamed(*streamed->index, streamed->y, config, d.get()),
             "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
                 " fractional=" + std::to_string(fractional));
@@ -437,31 +412,6 @@ TEST(CartEquivalenceTest, IndexedFitMatchesSortedFitOnFractionalLabels) {
   }
 }
 
-TEST(CartEquivalenceTest, FeatureParallelSearchMatchesSerial) {
-  // Node sizes above the parallel threshold so the pool path actually runs.
-  const Dataset d = MakeData(6000, 6, 81, /*fractional=*/false);
-  const Dataset probe = MakeData(200, 6, 82, /*fractional=*/false);
-  ml::TreeConfig config;
-  config.max_depth = 6;
-  ml::RegressionTree serial;
-  {
-    Rng rng(5);
-    serial.Fit(d, config, &rng);
-  }
-  ml::RegressionTree parallel;
-  {
-    ml::TreeConfig par_config = config;
-    par_config.threads = 4;
-    Rng rng(5);
-    parallel.Fit(d, par_config, &rng);
-  }
-  EXPECT_EQ(serial.num_nodes(), parallel.num_nodes());
-  for (int i = 0; i < probe.num_rows(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.Predict(probe.row(i)),
-                     parallel.Predict(probe.row(i)));
-  }
-}
-
 TEST(GbtEquivalenceTest, PresortedFitMatchesReference) {
   const Dataset d = MakeData(700, 5, 91, /*fractional=*/false, 25);
   const Dataset probe = MakeData(300, 5, 92, /*fractional=*/false);
@@ -485,7 +435,7 @@ TEST(GbtEquivalenceTest, PresortedFitMatchesReference) {
   }
 }
 
-TEST(GbtEquivalenceTest, SharedIndexAndParallelSearchMatch) {
+TEST(GbtEquivalenceTest, SharedIndexMatchesPrivateBuild) {
   const Dataset d = MakeData(5000, 6, 101, /*fractional=*/false);
   const Dataset probe = MakeData(200, 6, 102, /*fractional=*/false);
   ml::GbtConfig config;
@@ -498,15 +448,9 @@ TEST(GbtEquivalenceTest, SharedIndexAndParallelSearchMatch) {
     const auto index = ColumnIndex::Build(d);
     with_index.Fit(d, 11, index.get());
   }
-  ml::GbtConfig par_config = config;
-  par_config.threads = 4;
-  ml::GradientBoostedTrees parallel(par_config);
-  parallel.Fit(d, 11);
   for (int i = 0; i < probe.num_rows(); ++i) {
     EXPECT_DOUBLE_EQ(plain.PredictMargin(probe.row(i)),
                      with_index.PredictMargin(probe.row(i)));
-    EXPECT_DOUBLE_EQ(plain.PredictMargin(probe.row(i)),
-                     parallel.PredictMargin(probe.row(i)));
   }
 }
 

@@ -1,8 +1,9 @@
 // Test-only oracles for PRIM with bumping, kept as the straightforward
 // implementation: every replicate materializes its bootstrap sample
-// (SubsetRows + SelectColumns) and re-sorts it (ColumnIndex::Build inside
-// RunPrim), every lifted box is scored on the validation data by its own
-// full ComputeBoxStats scan, and the Pareto filter compares every pair.
+// (SubsetRows + SelectColumns), re-sorts it and peels it with the sorted-
+// view kernel (reference::RunPrimSorted), every lifted box is scored on
+// the validation data by its own full ComputeBoxStats scan, and the Pareto
+// filter compares every pair.
 // The library's bootstrap views, nested trajectory scoring and sort-and-
 // sweep filter must reproduce these bit for bit.
 #ifndef REDS_TESTS_REFERENCE_BUMPING_H_
@@ -16,6 +17,7 @@
 #include "core/bumping.h"
 #include "core/prim.h"
 #include "core/quality.h"
+#include "reference_prim.h"
 #include "util/rng.h"
 
 namespace reds::reference {
@@ -72,7 +74,7 @@ inline double PrAucOnDataReference(const std::vector<Box>& boxes,
 }
 
 /// PRIM with bumping, one materialized and re-sorted sample per replicate,
-/// replicates in a serial loop.
+/// peeled by the sorted-view kernel, replicates in a serial loop.
 inline BumpingResult RunPrimBumpingReference(const Dataset& train,
                                              const Dataset& val,
                                              const BumpingConfig& config,
@@ -96,7 +98,7 @@ inline BumpingResult RunPrimBumpingReference(const Dataset& train,
         d_bs.TotalPositive() == d_bs.num_rows()) {
       continue;  // degenerate bootstrap sample
     }
-    const PrimResult prim = RunPrim(d_bs, d_bs, config.prim);
+    const PrimResult prim = RunPrimSorted(d_bs, d_bs, config.prim);
     for (const Box& b : prim.ReturnedBoxes()) {
       Box lifted = b.LiftToFullSpace(dims, columns);
       const BoxStats stats = ComputeBoxStats(val, lifted);

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,12 +42,34 @@ SourceSpec TestSpec() {
   return spec;
 }
 
+// Forwards frames from `from` to `to` until a read or write fails or a
+// kShutdown has passed. With `stale_peel`, every kPeelReply is replaced by
+// the aggregates of the last kPeelInitReply: the worker behind it claims
+// that no row ever left its box, whatever the peels removed.
+void Pump(int from, int to, bool stale_peel) {
+  std::string init_aggregates;
+  for (;;) {
+    Result<Frame> frame = ReadFrame(from);
+    if (!frame.ok()) return;
+    if (frame->type == MsgType::kPeelInitReply) {
+      init_aggregates = frame->payload.substr(1);  // drop the labels flag
+    } else if (stale_peel && frame->type == MsgType::kPeelReply) {
+      frame->payload = init_aggregates;
+    }
+    if (!WriteFrame(to, frame->type, frame->payload).ok()) return;
+    if (frame->type == MsgType::kShutdown) return;
+  }
+}
+
 // An in-process worker fleet over socketpairs: one thread per worker, each
 // serving its stride of the synthetic stream. The coordinator side runs in
-// the test body against coordinator_fds().
+// the test body against coordinator_fds(). With `stale_first_worker`,
+// worker 0 talks through a pair of Pump threads that turn its peel replies
+// stale.
 class Fleet {
  public:
-  Fleet(const SourceSpec& spec, int workers) : statuses_(workers) {
+  Fleet(const SourceSpec& spec, int workers, bool stale_first_worker = false)
+      : statuses_(workers) {
     for (int w = 0; w < workers; ++w) {
       int sv[2];
       EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -54,10 +77,20 @@ class Fleet {
       worker_fds_.push_back(sv[1]);
     }
     for (int w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, spec, workers, w] {
+      int serve_fd = worker_fds_[static_cast<size_t>(w)];
+      if (w == 0 && stale_first_worker) {
+        int proxy[2];
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, proxy), 0);
+        proxy_fds_ = {proxy[0], proxy[1]};
+        threads_.emplace_back(Pump, serve_fd, proxy[0], false);
+        threads_.emplace_back(Pump, proxy[0], serve_fd, true);
+        serve_fd = proxy[1];
+      }
+      threads_.emplace_back([this, spec, workers, w, serve_fd] {
         SyntheticBlockSource source(spec, workers, w);
-        statuses_[static_cast<size_t>(w)] =
-            RunShardWorker(worker_fds_[static_cast<size_t>(w)], &source);
+        statuses_[static_cast<size_t>(w)] = RunShardWorker(serve_fd, &source);
+        // Ends the reply pump, if any, once the worker is gone.
+        ::shutdown(serve_fd, SHUT_RDWR);
       });
     }
   }
@@ -66,6 +99,7 @@ class Fleet {
     for (std::thread& t : threads_) t.join();
     for (int fd : coordinator_fds_) ::close(fd);
     for (int fd : worker_fds_) ::close(fd);
+    for (int fd : proxy_fds_) ::close(fd);
     for (const Status& s : statuses_) EXPECT_TRUE(s.ok()) << s.ToString();
   }
 
@@ -74,6 +108,7 @@ class Fleet {
  private:
   std::vector<int> coordinator_fds_;
   std::vector<int> worker_fds_;
+  std::vector<int> proxy_fds_;
   std::vector<std::thread> threads_;
   std::vector<Status> statuses_;
 };
@@ -324,6 +359,21 @@ TEST(ShardFleetTest, PrimBitIdenticalToSingleProcess) {
     EXPECT_EQ(got->best_val_index, expected.best_val_index);
     EXPECT_TRUE(coordinator.Shutdown().ok());
   }
+}
+
+TEST(ShardFleetTest, StalePeelReplyFailsInsteadOfLooping) {
+  // Worker 0 answers every peel with its initial aggregates, so the fleet's
+  // in-box count stops matching the peel accounting after the first peel.
+  // RunPrim must report that as an error, promptly.
+  const SourceSpec spec = TestSpec();
+  Fleet fleet(spec, 2, /*stale_first_worker=*/true);
+  ShardCoordinator coordinator(fleet.coordinator_fds(), BuildOptions(spec));
+  ASSERT_TRUE(coordinator.BuildGlobalBins().ok());
+  const auto start = std::chrono::steady_clock::now();
+  Result<PrimResult> got = coordinator.RunPrim(PrimConfig());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_FALSE(got.ok());
+  EXPECT_TRUE(coordinator.Shutdown().ok());
 }
 
 TEST(ShardFleetTest, DistributedTreeFitIsByteIdentical) {

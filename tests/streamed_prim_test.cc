@@ -1,8 +1,9 @@
 // The streaming data plane equivalence contract: BuildStreamed reproduces
 // the exact in-memory quantization bit for bit when every column has at
 // most max_bins distinct values (any block size, idle or busy cores, CSV or
-// in-memory source), RunPrimStreamed then reproduces RunPrim's boxes bit
-// for bit on such data ({0,1} and fractional labels alike), and on
+// in-memory source), RunPrimStreamed then reproduces the exact kernels'
+// boxes (RunPrim, and the sorted-view oracle of tests/reference_prim.h)
+// bit for bit on such data ({0,1} and fractional labels alike), and on
 // continuous data the streamed boxes stay within the binning's bounded
 // rank error of the exact kernel's.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/prim.h"
 #include "engine/fingerprint.h"
 #include "hold_slots.h"
+#include "reference_prim.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -121,8 +123,7 @@ TEST(StreamedPrimTest, BitIdenticalToExactKernelOnDiscreteData) {
         std::make_shared<Dataset>(MakeData(2000, 4, 3, 21, fractional));
     PrimConfig config;
     config.alpha = 0.07;
-    config.backend = PrimPeelBackend::kSorted;
-    const PrimResult exact = RunPrim(*data, *data, config);
+    const PrimResult exact = reference::RunPrimSorted(*data, *data, config);
 
     MatrixSource source(data);
     auto streamed = BinnedIndex::BuildStreamed(&source);
@@ -163,9 +164,8 @@ TEST(StreamedPrimTest, CsvStreamReproducesInMemoryBoxes) {
 // selected box's training precision within a small delta.
 TEST(StreamedPrimTest, BoundedErrorOnContinuousData) {
   const auto data = std::make_shared<Dataset>(MakeData(4000, 3, 5, 0));
-  PrimConfig config;
-  config.backend = PrimPeelBackend::kSorted;
-  const PrimResult exact = RunPrim(*data, *data, config);
+  const PrimConfig config;
+  const PrimResult exact = reference::RunPrimSorted(*data, *data, config);
 
   MatrixSource source(data);
   auto streamed = BinnedIndex::BuildStreamed(&source);

@@ -1,7 +1,8 @@
 // Equivalence contracts behind the warm-path optimizations:
-//  - streamed-fold CV tuning (row views over one shared full-data index)
-//    must pick the same grid cell -- and produce the same final model -- as
-//    the materialized reference plan that copies every fold matrix;
+//  - CV tuning through fold row views over one shared full-data index must
+//    pick the same grid cell -- and produce the same final model -- as the
+//    materialized oracle of tests/reference_tuning.h, which copies every
+//    fold matrix;
 //  - FitOnRows on a shared index must be bit-identical to materializing the
 //    subset, for every tree family;
 //  - leaf-wise (best-first) growth with no leaf cap must reproduce the
@@ -16,6 +17,7 @@
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
 #include "ml/tuning.h"
+#include "reference_tuning.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -51,8 +53,8 @@ void ExpectSamePredictions(const ml::Metamodel& a, const ml::Metamodel& b,
 }
 
 TEST(StreamedTuningTest, SameWinnerAndModelAsMaterializedAcrossSeeds) {
-  // Presorted backend: fold views are exact, so the streamed plan must be
-  // bit-identical to the materialized reference -- same per-cell CV losses,
+  // Presorted backend: fold views are exact, so tuning must be
+  // bit-identical to the materialized oracle -- same per-cell CV losses,
   // same winner, same refit.
   const Dataset d = MakeData(500, 4, 301);
   const Dataset probe = MakeData(200, 4, 302);
@@ -60,13 +62,10 @@ TEST(StreamedTuningTest, SameWinnerAndModelAsMaterializedAcrossSeeds) {
        {ml::MetamodelKind::kGbt, ml::MetamodelKind::kRandomForest,
         ml::MetamodelKind::kSvm}) {
     for (uint64_t seed : {11u, 23u, 37u}) {
-      ml::TuningConfig streamed;
-      streamed.folds = 3;
-      streamed.fold_plan = ml::CvFoldPlan::kStreamed;
-      ml::TuningConfig materialized = streamed;
-      materialized.fold_plan = ml::CvFoldPlan::kMaterialized;
-      const auto a = ml::TuneAndFit(kind, d, seed, streamed);
-      const auto b = ml::TuneAndFit(kind, d, seed, materialized);
+      ml::TuningConfig config;
+      config.folds = 3;
+      const auto a = ml::TuneAndFit(kind, d, seed, config);
+      const auto b = reference::TuneAndFitMaterialized(kind, d, seed, config);
       ASSERT_NE(a, nullptr);
       ASSERT_NE(b, nullptr);
       ExpectSamePredictions(*a, *b, probe, "presorted");
@@ -77,19 +76,16 @@ TEST(StreamedTuningTest, SameWinnerAndModelAsMaterializedAcrossSeeds) {
 TEST(StreamedTuningTest, SameModelOnHistogramBackendWithinBinBudget) {
   // Exact-pack regime (40 distinct values << 256 bins): the full-data
   // quantization the streamed folds share agrees with any fold-built one,
-  // so histogram tuning is bit-identical across plans too.
+  // so histogram tuning is bit-identical to the oracle too.
   const Dataset d = MakeData(600, 4, 311, /*fractional=*/false, 40);
   const Dataset probe = MakeData(200, 4, 312);
   for (uint64_t seed : {7u, 19u}) {
-    ml::TuningConfig streamed;
-    streamed.folds = 3;
-    streamed.backend = ml::SplitBackend::kHistogram;
-    streamed.fold_plan = ml::CvFoldPlan::kStreamed;
-    ml::TuningConfig materialized = streamed;
-    materialized.fold_plan = ml::CvFoldPlan::kMaterialized;
-    const auto a = ml::TuneAndFit(ml::MetamodelKind::kGbt, d, seed, streamed);
-    const auto b =
-        ml::TuneAndFit(ml::MetamodelKind::kGbt, d, seed, materialized);
+    ml::TuningConfig config;
+    config.folds = 3;
+    config.backend = ml::SplitBackend::kHistogram;
+    const auto a = ml::TuneAndFit(ml::MetamodelKind::kGbt, d, seed, config);
+    const auto b = reference::TuneAndFitMaterialized(ml::MetamodelKind::kGbt,
+                                                     d, seed, config);
     ExpectSamePredictions(*a, *b, probe, "histogram");
   }
 }

@@ -48,6 +48,7 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_bi.h"
 #include "reference_bumping.h"
 #include "reference_metamodel.h"
 #include "reference_method.h"
@@ -877,8 +878,8 @@ KernelResult BenchBi(const PerfFlags& flags) {
                   std::to_string(flags.dims) + " beam=1";
 
   BiResult ref, opt;
-  result.reference_seconds =
-      TimeBest(flags.reps, [&] { ref = RunBiReference(d, config); });
+  result.reference_seconds = TimeBest(
+      flags.reps, [&] { ref = reference::RunBiReference(d, config); });
   result.optimized_seconds =
       TimeBest(flags.reps, [&] { opt = RunBi(d, config); });
   result.identical = ref.box == opt.box;

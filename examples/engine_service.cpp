@@ -95,10 +95,12 @@ int main() {
 
   const auto& cache = engine.metamodel_cache();
   std::printf(
-      "\nmetamodel cache: %d fits, %d hits (%d REDS jobs -> "
-      "%d trained metamodels)\n",
-      cache.fit_count(), cache.hit_count(),
-      cache.fit_count() + cache.hit_count(), cache.size());
+      "\nmetamodel cache: %llu fits, %llu hits (%llu REDS jobs -> "
+      "%zu trained metamodels)\n",
+      static_cast<unsigned long long>(cache.misses()),
+      static_cast<unsigned long long>(cache.hits()),
+      static_cast<unsigned long long>(cache.misses() + cache.hits()),
+      cache.size());
   std::printf(
       "without the cache every REDS job would have trained its own "
       "metamodel.\n");

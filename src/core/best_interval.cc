@@ -86,71 +86,6 @@ Box BestIntervalFromPoints(std::vector<std::pair<double, double>>* pts,
   return out;
 }
 
-// Beam search shared by the indexed and reference entry points; when
-// `index` is null every refinement falls back to the scalar per-dimension
-// rescan.
-BiResult RunBiImpl(const Dataset& d, const BiConfig& config,
-                   const ColumnIndex* index) {
-  assert(d.num_rows() > 0);
-  const int dims = d.num_cols();
-  const int max_restricted =
-      config.max_restricted > 0 ? std::min(config.max_restricted, dims) : dims;
-
-  struct Scored {
-    Box box;
-    double wracc;
-  };
-  auto top = [&](std::vector<Scored>* set, int keep) {
-    std::stable_sort(set->begin(), set->end(), [](const Scored& a, const Scored& b) {
-      return a.wracc > b.wracc;
-    });
-    if (static_cast<int>(set->size()) > keep) {
-      set->resize(static_cast<size_t>(keep));
-    }
-  };
-
-  std::vector<Scored> beam;
-  beam.push_back({Box::Unbounded(dims), BoxWRAcc(d, Box::Unbounded(dims))});
-
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    std::vector<Scored> candidates = beam;
-    std::vector<std::vector<double>> keys;
-    keys.reserve(candidates.size());
-    for (const auto& s : candidates) keys.push_back(BoxKey(s.box));
-
-    for (const auto& s : beam) {
-      // One violation-count pass serves all of this box's refinements.
-      std::vector<int> viol;
-      if (index != nullptr) viol = CountBoundViolations(*index, s.box);
-      for (int j = 0; j < dims; ++j) {
-        Box refined =
-            index != nullptr
-                ? BestIntervalForDimensionIndexed(d, *index, s.box, j, viol)
-                : BestIntervalForDimension(d, s.box, j);
-        if (refined.NumRestricted() > max_restricted) continue;
-        auto key = BoxKey(refined);
-        if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
-        keys.push_back(std::move(key));
-        const double w = BoxWRAcc(d, refined);
-        candidates.push_back({std::move(refined), w});
-      }
-    }
-    top(&candidates, config.beam_size);
-    // Fixed point: candidate set equals the current beam.
-    bool same = candidates.size() == beam.size();
-    for (size_t i = 0; same && i < beam.size(); ++i) {
-      same = BoxKey(candidates[i].box) == BoxKey(beam[i].box);
-    }
-    beam = std::move(candidates);
-    if (same) break;
-  }
-
-  BiResult result;
-  result.box = beam.front().box;
-  result.wracc = beam.front().wracc;
-  return result;
-}
-
 }  // namespace
 
 double BoxWRAcc(const Dataset& d, const Box& box) {
@@ -204,6 +139,7 @@ Box BestIntervalForDimensionIndexed(const Dataset& d, const ColumnIndex& index,
 
 BiResult RunBi(const Dataset& d, const BiConfig& config,
                const ColumnIndex* index) {
+  assert(d.num_rows() > 0);
   std::shared_ptr<const ColumnIndex> owned;
   if (index == nullptr) {
     owned = ColumnIndex::Build(d);
@@ -211,11 +147,60 @@ BiResult RunBi(const Dataset& d, const BiConfig& config,
   }
   assert(index->num_rows() == d.num_rows());
   assert(index->num_cols() == d.num_cols());
-  return RunBiImpl(d, config, index);
-}
+  const int dims = d.num_cols();
+  const int max_restricted =
+      config.max_restricted > 0 ? std::min(config.max_restricted, dims) : dims;
 
-BiResult RunBiReference(const Dataset& d, const BiConfig& config) {
-  return RunBiImpl(d, config, nullptr);
+  struct Scored {
+    Box box;
+    double wracc;
+  };
+  auto top = [&](std::vector<Scored>* set, int keep) {
+    std::stable_sort(set->begin(), set->end(), [](const Scored& a, const Scored& b) {
+      return a.wracc > b.wracc;
+    });
+    if (static_cast<int>(set->size()) > keep) {
+      set->resize(static_cast<size_t>(keep));
+    }
+  };
+
+  std::vector<Scored> beam;
+  beam.push_back({Box::Unbounded(dims), BoxWRAcc(d, Box::Unbounded(dims))});
+
+  for (int iter = 0; iter < config.max_iterations; ++iter) {
+    std::vector<Scored> candidates = beam;
+    std::vector<std::vector<double>> keys;
+    keys.reserve(candidates.size());
+    for (const auto& s : candidates) keys.push_back(BoxKey(s.box));
+
+    for (const auto& s : beam) {
+      // One violation-count pass serves all of this box's refinements.
+      const std::vector<int> viol = CountBoundViolations(*index, s.box);
+      for (int j = 0; j < dims; ++j) {
+        Box refined =
+            BestIntervalForDimensionIndexed(d, *index, s.box, j, viol);
+        if (refined.NumRestricted() > max_restricted) continue;
+        auto key = BoxKey(refined);
+        if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+        keys.push_back(std::move(key));
+        const double w = BoxWRAcc(d, refined);
+        candidates.push_back({std::move(refined), w});
+      }
+    }
+    top(&candidates, config.beam_size);
+    // Fixed point: candidate set equals the current beam.
+    bool same = candidates.size() == beam.size();
+    for (size_t i = 0; same && i < beam.size(); ++i) {
+      same = BoxKey(candidates[i].box) == BoxKey(beam[i].box);
+    }
+    beam = std::move(candidates);
+    if (same) break;
+  }
+
+  BiResult result;
+  result.box = beam.front().box;
+  result.wracc = beam.front().wracc;
+  return result;
 }
 
 }  // namespace reds

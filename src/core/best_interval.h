@@ -37,10 +37,6 @@ struct BiResult {
 BiResult RunBi(const Dataset& d, const BiConfig& config,
                const ColumnIndex* index = nullptr);
 
-/// The original per-dimension-rescan implementation; golden reference for
-/// equivalence tests and the perf harness baseline. Same results as RunBi.
-BiResult RunBiReference(const Dataset& d, const BiConfig& config);
-
 /// BestIntervalWRAcc: given a box, returns a copy with dimension `dim`'s
 /// bounds replaced by the WRAcc-optimal interval (bounds at data values;
 /// sides touching the in-box extremes become unbounded). Exposed for tests

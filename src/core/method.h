@@ -7,10 +7,13 @@
 #define REDS_CORE_METHOD_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/best_interval.h"
+#include "core/binned_index.h"
 #include "core/bumping.h"
 #include "core/prim.h"
 #include "core/reds.h"
@@ -40,6 +43,14 @@ struct MethodSpec {
 
   bool IsPrimFamily() const { return family != Family::kBi; }
 };
+
+/// Supplies a finished streamed REDS relabeling for a cache key, calling
+/// `build` when it has none; `expect_rows` x `expect_cols` is the shape the
+/// product must have.
+using StreamedRelabelProvider = std::function<std::shared_ptr<
+    const StreamedDataset>(
+    uint64_t key, int expect_rows, int expect_cols,
+    const std::function<std::shared_ptr<const StreamedDataset>()>& build)>;
 
 /// Knobs shared by all methods in one experiment (paper Table 2 defaults).
 struct RunOptions {
@@ -84,17 +95,12 @@ struct RunOptions {
   /// is disabled for it unless this names it; the default uniform sampler
   /// needs no id. Two different samplers must never share an id.
   std::string sampler_id;
-  /// Optional engine hook: looks up a finished streamed REDS relabeling
-  /// (quantized index + labels) by cache key. A hit means the job replays
-  /// neither the sampler nor the metamodel nor the quantization -- zero
-  /// labeling passes, zero code rebuilds. Null on miss.
-  std::function<std::shared_ptr<const StreamedDataset>(
-      uint64_t key, int expect_rows, int expect_cols)>
-      streamed_relabel_lookup;
-  /// Optional engine hook: stores a cold run's streamed relabeling under
-  /// its cache key once built.
-  std::function<void(uint64_t key, std::shared_ptr<const StreamedDataset>)>
-      streamed_relabel_store;
+  /// Optional engine hook: get-or-build of a finished streamed REDS
+  /// relabeling (quantized index + labels) by cache key. The provider
+  /// returns a cached product or runs `build` (the labeling stream) and
+  /// keeps its result; a job served without running its own `build`
+  /// replays neither the sampler nor the metamodel nor the quantization.
+  StreamedRelabelProvider streamed_relabel_provider;
 };
 
 /// What a method run produces: a trajectory of boxes to assess (nested

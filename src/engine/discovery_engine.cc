@@ -43,10 +43,34 @@ uint64_t CanonicalSeed(uint64_t engine_seed, const MetamodelKey& key) {
 
 // True while the current worker thread's job has performed cold work --
 // a metamodel fit or disk load, an index build or load, a streamed ingest
-// build, or a relabel-stream build. Execute() clears it at job start and
-// classifies the job's latency into the warm or cold histogram at the
-// end; coalesced followers never run a worker, so they are always warm.
+// build, a relabel-stream build, or a wait on another job's build of any
+// of these. Execute() clears it at job start and classifies the job's
+// latency into the warm or cold histogram at the end; coalesced followers
+// never run a worker, so they are always warm.
 thread_local bool t_cold_work = false;
+
+// Fixed capacities of the cache tiers (LRU over finished entries).
+// serve_mixed's request mix is sized around the 8-entry relabel tier.
+constexpr size_t kMetamodelCapacity = 128;
+constexpr size_t kColumnIndexCapacity = 32;
+constexpr size_t kBinnedIndexCapacity = 32;
+constexpr size_t kStreamedIndexCapacity = 32;
+constexpr size_t kRelabelStreamCapacity = 8;
+
+// Get-or-build through one of the engine's memos. A job that ran the build
+// or waited on another job's is cold: its latency contains the build.
+template <typename Key, typename Value, typename Build>
+Value Cached(Memo<Key, Value>* memo, const Key& key, Build&& build) {
+  MemoOutcome outcome = MemoOutcome::kHit;
+  try {
+    Value value = memo->GetOrBuild(key, std::forward<Build>(build), &outcome);
+    if (outcome != MemoOutcome::kHit) t_cold_work = true;
+    return value;
+  } catch (...) {
+    t_cold_work = true;  // only a build or a wait on one can throw
+    throw;
+  }
+}
 
 // Sharded execution of a streamed untuned plain-PRIM request: W in-process
 // workers (socketpair transport, one thread each) each ingest a
@@ -240,11 +264,12 @@ std::string ResolveDir(const std::string& configured, const char* env_var) {
 DiscoveryEngine::DiscoveryEngine(EngineConfig config)
     : config_(config),
       trace_dir_(ResolveDir(config.trace_dir, "REDS_TRACE_DIR")),
-      cache_(config.metamodel_cache_capacity, &metrics_),
-      column_indexes_(config.column_index_cache_capacity),
-      binned_indexes_(config.binned_index_cache_capacity),
-      streamed_indexes_(config.binned_index_cache_capacity),
-      relabel_streams_(config.relabel_stream_cache_capacity),
+      cache_(kMetamodelCapacity, &metrics_, "cache.metamodel", "fits"),
+      column_indexes_(kColumnIndexCapacity, &metrics_, "cache.index.column"),
+      binned_indexes_(kBinnedIndexCapacity, &metrics_, "cache.index.binned"),
+      streamed_indexes_(kStreamedIndexCapacity, &metrics_,
+                        "cache.index.streamed"),
+      relabel_streams_(kRelabelStreamCapacity, &metrics_, "cache.relabel"),
       pool_(config.threads, &metrics_, "engine.pool") {
   jobs_submitted_ = metrics_.counter("engine.jobs.submitted");
   jobs_completed_ = metrics_.counter("engine.jobs.completed");
@@ -254,14 +279,6 @@ DiscoveryEngine::DiscoveryEngine(EngineConfig config)
   job_latency_ = metrics_.histogram("engine.job.latency_ns");
   job_warm_latency_ = metrics_.histogram("engine.job.warm_latency_ns");
   job_cold_latency_ = metrics_.histogram("engine.job.cold_latency_ns");
-  column_index_hits_ = metrics_.counter("cache.index.column.hits");
-  column_index_misses_ = metrics_.counter("cache.index.column.misses");
-  binned_index_hits_ = metrics_.counter("cache.index.binned.hits");
-  binned_index_misses_ = metrics_.counter("cache.index.binned.misses");
-  streamed_index_hits_ = metrics_.counter("cache.index.streamed.hits");
-  streamed_index_misses_ = metrics_.counter("cache.index.streamed.misses");
-  relabel_stream_hits_ = metrics_.counter("cache.relabel.hits");
-  relabel_stream_misses_ = metrics_.counter("cache.relabel.misses");
   fork_join_regions_ = metrics_.counter("forkjoin.regions");
   fork_join_helper_chunks_ = metrics_.counter("forkjoin.helper_chunks");
   fork_join_inline_regions_ = metrics_.counter("forkjoin.inline_regions");
@@ -332,8 +349,7 @@ bool DiscoveryEngine::ComputeCoalesceKey(const DiscoveryRequest& req,
   if (!req.train) return false;
   const RunOptions& o = req.options;
   if (o.metamodel_provider || o.column_index_provider ||
-      o.binned_index_provider || o.streamed_relabel_lookup ||
-      o.streamed_relabel_store) {
+      o.binned_index_provider || o.streamed_relabel_provider) {
     return false;
   }
   if (o.sampler && o.sampler_id.empty()) return false;
@@ -423,63 +439,37 @@ std::shared_ptr<const ColumnIndex> DiscoveryEngine::GetColumnIndex(
 
 std::shared_ptr<const ColumnIndex> DiscoveryEngine::GetColumnIndex(
     const Dataset& d, uint64_t fingerprint) {
-  {
-    std::unique_lock<std::mutex> lock(column_index_mutex_);
-    if (auto* found = column_indexes_.Get(fingerprint)) {
-      column_index_hits_->Add(1);
-      return *found;
-    }
-  }
-  column_index_misses_->Add(1);
-  t_cold_work = true;
-  // Build outside the lock: indexing a large relabeled matrix takes long
-  // enough that serializing it would stall unrelated jobs. A rare race
-  // builds twice and keeps one.
-  std::shared_ptr<const ColumnIndex> index;
-  {
+  return Cached(&column_indexes_, fingerprint, [&] {
     obs::Span span("index.build");
-    index = ColumnIndex::Build(d);
-  }
-  std::unique_lock<std::mutex> lock(column_index_mutex_);
-  if (auto* found = column_indexes_.Get(fingerprint)) return *found;
-  column_indexes_.Put(fingerprint, index);
-  return index;
+    return ColumnIndex::Build(d);
+  });
 }
 
 std::shared_ptr<const BinnedIndex> DiscoveryEngine::GetBinnedIndex(
     const Dataset& d) {
   const uint64_t fingerprint = FingerprintInputs(d);
-  {
-    std::unique_lock<std::mutex> lock(binned_index_mutex_);
-    if (auto* found = binned_indexes_.Get(fingerprint)) {
-      binned_index_hits_->Add(1);
-      return *found;
-    }
-  }
-  binned_index_misses_->Add(1);
-  t_cold_work = true;
-  // Memory miss: try the disk tier, then build. Both happen outside the
-  // lock -- quantizing a large relabeled matrix takes long enough that
-  // serializing it would stall unrelated jobs. A rare race builds twice
-  // and keeps one. Only exact-pack indexes live under this key; sketch
-  // indexes (streamed builds) are filed separately and never returned
-  // here, so cold and warm runs see identical bins.
-  std::shared_ptr<const BinnedIndex> binned;
-  if (disk_ != nullptr) {
-    obs::Span span("index.load");
-    binned = disk_->LoadBinnedIndex(fingerprint,
-                                    BinnedIndex::BuildKind::kExactPack,
-                                    d.num_rows(), d.num_cols());
-  }
-  if (binned == nullptr) {
-    obs::Span span("index.build");
-    binned = BinnedIndex::Build(*GetColumnIndex(d, fingerprint));
-    if (disk_ != nullptr) disk_->StoreBinnedIndex(fingerprint, *binned);
-  }
-  std::unique_lock<std::mutex> lock(binned_index_mutex_);
-  if (auto* found = binned_indexes_.Get(fingerprint)) return *found;
-  binned_indexes_.Put(fingerprint, binned);
-  return binned;
+  // Disk tier, then a build from the (cached) column index. Only
+  // exact-pack indexes live under this key; sketch indexes (streamed
+  // builds) are filed separately and never returned here, so cold and warm
+  // runs see identical bins.
+  return Cached(
+      &binned_indexes_, fingerprint,
+      [&]() -> std::shared_ptr<const BinnedIndex> {
+        if (disk_ != nullptr) {
+          obs::Span span("index.load");
+          if (std::shared_ptr<const BinnedIndex> loaded =
+                  disk_->LoadBinnedIndex(fingerprint,
+                                         BinnedIndex::BuildKind::kExactPack,
+                                         d.num_rows(), d.num_cols())) {
+            return loaded;
+          }
+        }
+        obs::Span span("index.build");
+        std::shared_ptr<const BinnedIndex> binned =
+            BinnedIndex::Build(*GetColumnIndex(d, fingerprint));
+        if (disk_ != nullptr) disk_->StoreBinnedIndex(fingerprint, *binned);
+        return binned;
+      });
 }
 
 StreamedTrainData DiscoveryEngine::IngestSource(DatasetSource* source) {
@@ -522,55 +512,43 @@ StreamedTrainData DiscoveryEngine::IngestSource(DatasetSource* source) {
   data.fingerprint = full_hasher.Finalize();
   const int rows = static_cast<int>(data.y->size());
 
-  // Index: memory LRU, then the persistent tier, then a cold build.
-  {
-    std::unique_lock<std::mutex> lock(streamed_index_mutex_);
-    if (auto* found = streamed_indexes_.Get(data.input_fingerprint)) {
-      streamed_index_hits_->Add(1);
-      data.index = *found;
-      return data;
-    }
-  }
-  streamed_index_misses_->Add(1);  // LRU miss; the disk tier counts its own
-  t_cold_work = true;
-  std::shared_ptr<const BinnedIndex> index;
-  if (disk_ != nullptr) {
-    obs::Span span("index.load");
-    index = disk_->LoadStreamedIndex(data.input_fingerprint, rows, cols);
-  }
-  if (index == nullptr) {
-    // The cold build: Chrome traces show its two passes as
-    // index.sketch_pass / index.code_pass children (emitted inside
-    // BuildStreamed), all under this index.build span -- the one the
-    // warm-trace test asserts is absent on a warm engine.
-    obs::Span span("index.build");
-    StreamedBuildOptions options;
-    options.block_rows = config_.stream_block_rows;
-    Result<StreamedDataset> built =
-        BinnedIndex::BuildStreamed(source, options);
-    if (!built.ok()) {
-      throw std::runtime_error("streamed index build failed: " +
-                               built.status().ToString());
-    }
-    // A source that does not replay the identical rows poisons every
-    // cache tier keyed by its first pass; refuse it loudly.
-    if (built->input_fingerprint != data.input_fingerprint ||
-        built->fingerprint != data.fingerprint) {
-      throw std::invalid_argument(
-          "streamed request source is not deterministic across Reset()");
-    }
-    index = built->index;
-    if (disk_ != nullptr) {
-      disk_->StoreStreamedIndex(data.input_fingerprint, *index);
-    }
-  }
-  std::unique_lock<std::mutex> lock(streamed_index_mutex_);
-  if (auto* found = streamed_indexes_.Get(data.input_fingerprint)) {
-    data.index = *found;
-    return data;
-  }
-  streamed_indexes_.Put(data.input_fingerprint, index);
-  data.index = std::move(index);
+  // Index: memory tier, then the persistent tier, then a cold build.
+  data.index = Cached(
+      &streamed_indexes_, data.input_fingerprint,
+      [&]() -> std::shared_ptr<const BinnedIndex> {
+        if (disk_ != nullptr) {
+          obs::Span span("index.load");
+          if (std::shared_ptr<const BinnedIndex> loaded =
+                  disk_->LoadStreamedIndex(data.input_fingerprint, rows,
+                                           cols)) {
+            return loaded;
+          }
+        }
+        // The cold build: Chrome traces show its two passes as
+        // index.sketch_pass / index.code_pass children (emitted inside
+        // BuildStreamed), all under this index.build span -- the one the
+        // warm-trace test asserts is absent on a warm engine.
+        obs::Span span("index.build");
+        StreamedBuildOptions options;
+        options.block_rows = config_.stream_block_rows;
+        Result<StreamedDataset> built =
+            BinnedIndex::BuildStreamed(source, options);
+        if (!built.ok()) {
+          throw std::runtime_error("streamed index build failed: " +
+                                   built.status().ToString());
+        }
+        // A source that does not replay the identical rows poisons every
+        // cache tier keyed by its first pass; refuse it loudly.
+        if (built->input_fingerprint != data.input_fingerprint ||
+            built->fingerprint != data.fingerprint) {
+          throw std::invalid_argument(
+              "streamed request source is not deterministic across Reset()");
+        }
+        if (disk_ != nullptr) {
+          disk_->StoreStreamedIndex(data.input_fingerprint, *built->index);
+        }
+        return built->index;
+      });
   return data;
 }
 
@@ -578,27 +556,7 @@ PersistentCacheStats DiscoveryEngine::persistent_cache_stats() const {
   return disk_ != nullptr ? disk_->stats() : PersistentCacheStats();
 }
 
-int DiscoveryEngine::column_index_cache_size() const {
-  std::unique_lock<std::mutex> lock(column_index_mutex_);
-  return static_cast<int>(column_indexes_.size());
-}
-
-int DiscoveryEngine::binned_index_cache_size() const {
-  std::unique_lock<std::mutex> lock(binned_index_mutex_);
-  return static_cast<int>(binned_indexes_.size());
-}
-
-int DiscoveryEngine::streamed_index_cache_size() const {
-  std::unique_lock<std::mutex> lock(streamed_index_mutex_);
-  return static_cast<int>(streamed_indexes_.size());
-}
-
-int DiscoveryEngine::relabel_stream_cache_size() const {
-  std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
-  return static_cast<int>(relabel_streams_.size());
-}
-
-void DiscoveryEngine::InstallRelabelStreamHooks(RunOptions* options) {
+StreamedRelabelProvider DiscoveryEngine::MakeRelabelStreamProvider() {
   // The method layer's key covers the request recipe (training bytes,
   // metamodel recipe, seed, stream length, block size, sampler identity)
   // but not how this engine actually labels: with cache_metamodels on, the
@@ -607,44 +565,26 @@ void DiscoveryEngine::InstallRelabelStreamHooks(RunOptions* options) {
   // engines configured differently never share an entry.
   const uint64_t engine_salt =
       DeriveSeed(config_.seed, config_.cache_metamodels ? 1 : 2);
-  const auto fold = [engine_salt](uint64_t key) {
-    return DeriveSeed(engine_salt, key);
+  return [this, engine_salt](
+             uint64_t key, int expect_rows, int expect_cols,
+             const std::function<std::shared_ptr<const StreamedDataset>()>&
+                 build) {
+    const uint64_t k = DeriveSeed(engine_salt, key);
+    return Cached(&relabel_streams_, k,
+                  [&]() -> std::shared_ptr<const StreamedDataset> {
+                    if (disk_ != nullptr) {
+                      obs::Span span("relabel.load");
+                      if (std::shared_ptr<const StreamedDataset> loaded =
+                              disk_->LoadRelabelStream(k, expect_rows,
+                                                       expect_cols)) {
+                        return loaded;
+                      }
+                    }
+                    std::shared_ptr<const StreamedDataset> data = build();
+                    if (disk_ != nullptr) disk_->StoreRelabelStream(k, *data);
+                    return data;
+                  });
   };
-  options->streamed_relabel_lookup =
-      [this, fold](uint64_t key, int expect_rows,
-                   int expect_cols) -> std::shared_ptr<const StreamedDataset> {
-    const uint64_t k = fold(key);
-    {
-      std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
-      if (auto* found = relabel_streams_.Get(k)) {
-        relabel_stream_hits_->Add(1);
-        return *found;
-      }
-    }
-    relabel_stream_misses_->Add(1);  // LRU miss; the disk tier counts its own
-    // Either a disk load or a fresh stream build follows -- cold work both.
-    t_cold_work = true;
-    if (disk_ == nullptr) return nullptr;
-    std::shared_ptr<const StreamedDataset> data;
-    {
-      obs::Span span("relabel.load");
-      data = disk_->LoadRelabelStream(k, expect_rows, expect_cols);
-    }
-    if (data != nullptr) {
-      std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
-      relabel_streams_.Put(k, data);
-    }
-    return data;
-  };
-  options->streamed_relabel_store =
-      [this, fold](uint64_t key, std::shared_ptr<const StreamedDataset> data) {
-        const uint64_t k = fold(key);
-        {
-          std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
-          relabel_streams_.Put(k, data);
-        }
-        if (disk_ != nullptr) disk_->StoreRelabelStream(k, *data);
-      };
 }
 
 ColumnIndexProvider DiscoveryEngine::MakeColumnIndexProvider() {
@@ -669,42 +609,44 @@ MetamodelProvider DiscoveryEngine::MakeCachingProvider() {
     key.growth = growth;
     key.max_leaves = max_leaves;
     key.seed = CanonicalSeed(config_.seed, key);
-    return cache_.GetOrFit(key, [this, &train, kind, tune, budget, backend,
-                                 growth, max_leaves, &key] {
-      // Fit or disk load, either way this job did real metamodel work.
-      t_cold_work = true;
-      // Disk tier first: a model trained by an earlier engine process (or
-      // a previous run of this one) reloads instead of refitting. The
-      // canonical seed in the key makes the reloaded model bit-identical
-      // to what this fit would have produced.
-      if (disk_ != nullptr) {
-        obs::Span span("metamodel.load");
-        if (std::shared_ptr<const ml::Metamodel> loaded =
-                disk_->LoadMetamodel(key)) {
-          return loaded;
-        }
-      }
-      // Tree metamodels reuse the engine's shared columnar index (and
-      // quantization, under the histogram backend) of the training data:
-      // untuned fits feed them straight to the split search, tuned fits
-      // stream their CV folds as row views over them (ml/tuning.h) --
-      // identical results to privately built views either way.
-      std::shared_ptr<const ColumnIndex> index;
-      std::shared_ptr<const BinnedIndex> binned;
-      if (config_.cache_column_indexes && kind != ml::MetamodelKind::kSvm) {
-        index = GetColumnIndex(train);
-        if (config_.cache_binned_indexes &&
-            backend == ml::SplitBackend::kHistogram) {
-          binned = GetBinnedIndex(train);
-        }
-      }
-      obs::Span span("metamodel.fit");
-      std::shared_ptr<const ml::Metamodel> model(
-          ml::FitMetamodel(kind, train, key.seed, tune, budget, index.get(),
-                           binned.get(), backend, growth, max_leaves));
-      if (disk_ != nullptr) disk_->StoreMetamodel(key, *model);
-      return model;
-    });
+    bool fitted = false;
+    std::shared_ptr<const ml::Metamodel> model = Cached(
+        &cache_, key, [&]() -> std::shared_ptr<const ml::Metamodel> {
+          fitted = true;
+          // Disk tier first: a model trained by an earlier engine process
+          // (or a previous run of this one) reloads instead of refitting.
+          // The canonical seed in the key makes the reloaded model
+          // bit-identical to what this fit would have produced.
+          if (disk_ != nullptr) {
+            obs::Span span("metamodel.load");
+            if (std::shared_ptr<const ml::Metamodel> loaded =
+                    disk_->LoadMetamodel(key)) {
+              return loaded;
+            }
+          }
+          // Tree metamodels reuse the engine's shared columnar index (and
+          // quantization, under the histogram backend) of the training
+          // data: untuned fits feed them straight to the split search,
+          // tuned fits stream their CV folds as row views over them
+          // (ml/tuning.h) -- identical results to privately built views
+          // either way.
+          std::shared_ptr<const ColumnIndex> index;
+          std::shared_ptr<const BinnedIndex> binned;
+          if (kind != ml::MetamodelKind::kSvm) {
+            index = GetColumnIndex(train);
+            if (backend == ml::SplitBackend::kHistogram) {
+              binned = GetBinnedIndex(train);
+            }
+          }
+          obs::Span span("metamodel.fit");
+          std::shared_ptr<const ml::Metamodel> fit(ml::FitMetamodel(
+              kind, train, key.seed, tune, budget, index.get(), binned.get(),
+              backend, growth, max_leaves));
+          if (disk_ != nullptr) disk_->StoreMetamodel(key, *fit);
+          return fit;
+        });
+    if (!fitted) obs::TraceInstant("metamodel.cache_hit");
+    return model;
   };
 }
 
@@ -792,15 +734,14 @@ void DiscoveryEngine::Execute(const JobHandle& job) {
     if (config_.cache_metamodels && spec->reds && !options.metamodel_provider) {
       options.metamodel_provider = MakeCachingProvider();
     }
-    if (config_.cache_column_indexes && !options.column_index_provider) {
+    if (!options.column_index_provider) {
       options.column_index_provider = MakeColumnIndexProvider();
     }
-    if (config_.cache_binned_indexes && !options.binned_index_provider) {
+    if (!options.binned_index_provider) {
       options.binned_index_provider = MakeBinnedIndexProvider();
     }
-    if (config_.cache_relabel_streams && spec->reds &&
-        !options.streamed_relabel_lookup && !options.streamed_relabel_store) {
-      InstallRelabelStreamHooks(&options);
+    if (spec->reds && !options.streamed_relabel_provider) {
+      options.streamed_relabel_provider = MakeRelabelStreamProvider();
     }
 
     MethodOutput out;

@@ -28,13 +28,18 @@
 #include "engine/result_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/lru_map.h"
+#include "util/memo.h"
 #include "util/thread_pool.h"
 
 namespace reds::engine {
 
 struct EngineConfig {
   int threads = 0;              // 0: hardware concurrency
+  /// REDS metamodels come from the engine's metamodel tier: one fit per
+  /// key, seeded canonically (see `seed`). False fits each request's model
+  /// inline from its own seed. The other tiers -- column, binned and
+  /// streamed indexes, relabel streams -- are always on, with fixed
+  /// capacities (kColumnIndexCapacity etc. in discovery_engine.cc).
   bool cache_metamodels = true;
   /// Single-flight job coalescing: identical in-flight requests (same
   /// training bytes, method, and result-shaping options) attach to the
@@ -46,26 +51,6 @@ struct EngineConfig {
   /// or an unnamed custom sampler are never coalesced. Counted in
   /// `engine.jobs.coalesced`.
   bool coalesce_requests = true;
-  /// Max metamodels kept resident (LRU eviction beyond it); 0 = unbounded.
-  size_t metamodel_cache_capacity = 128;
-  /// Shared per-dataset ColumnIndex cache: a batch of method variants over
-  /// the same inputs builds the columnar index (column copies + sorted
-  /// permutations) once. Keyed by the input-only fingerprint.
-  bool cache_column_indexes = true;
-  size_t column_index_cache_capacity = 32;  // LRU bound; 0 = unbounded
-  /// Shared per-dataset BinnedIndex cache (the quantized data plane):
-  /// binned PRIM peeling and histogram tree fits over the same inputs
-  /// quantize once. Keyed by the same input-only fingerprint.
-  bool cache_binned_indexes = true;
-  size_t binned_index_cache_capacity = 32;  // LRU bound; 0 = unbounded
-  /// Shared relabel-stream cache: the finished product of a streamed REDS
-  /// relabeling (quantized index + O(L) labels), keyed by everything that
-  /// shapes it (training bytes, metamodel recipe, seed, stream length,
-  /// block size) folded with the engine seed. A hit serves the job with
-  /// zero labeling passes and zero code rebuilds; entries persist to the
-  /// disk tier when it is active, so a warm engine process skips them too.
-  bool cache_relabel_streams = true;
-  size_t relabel_stream_cache_capacity = 8;  // LRU bound; 0 = unbounded
   /// Root seed for the canonical metamodel fits. The engine re-seeds each
   /// metamodel from (this seed, cache key) instead of the per-request seed,
   /// so results are bit-identical whether a request hits or misses the
@@ -291,18 +276,6 @@ class DiscoveryEngine {
   /// the net service uses it to exempt followers from queue-depth caps.
   bool WouldCoalesce(const DiscoveryRequest& request) const;
 
-  /// Number of distinct column indexes currently cached.
-  int column_index_cache_size() const;
-
-  /// Number of distinct binned indexes currently cached.
-  int binned_index_cache_size() const;
-
-  /// Number of distinct streamed-build indexes currently cached.
-  int streamed_index_cache_size() const;
-
-  /// Number of distinct streamed REDS relabelings currently cached.
-  int relabel_stream_cache_size() const;
-
   /// Ingests a training source through the streaming data plane: one
   /// hashing pass for the fingerprints and labels, then the index from the
   /// in-memory LRU, the persistent tier, or (cold) a BuildStreamed over
@@ -361,9 +334,8 @@ class DiscoveryEngine {
   MetamodelProvider MakeCachingProvider();
   ColumnIndexProvider MakeColumnIndexProvider();
   BinnedIndexProvider MakeBinnedIndexProvider();
-  /// Installs streamed_relabel_lookup/store on `options`, closing over the
-  /// engine's relabel-stream LRU and disk tier.
-  void InstallRelabelStreamHooks(RunOptions* options);
+  /// Get-or-build over the relabel-stream memo and the disk tier.
+  StreamedRelabelProvider MakeRelabelStreamProvider();
   std::shared_ptr<const ColumnIndex> GetColumnIndex(const Dataset& d,
                                                     uint64_t fingerprint);
 
@@ -386,14 +358,6 @@ class DiscoveryEngine {
   // warm series, so warm p50/p99 is scrapeable on its own.
   obs::Histogram* job_warm_latency_ = nullptr;
   obs::Histogram* job_cold_latency_ = nullptr;
-  obs::Counter* column_index_hits_ = nullptr;
-  obs::Counter* column_index_misses_ = nullptr;
-  obs::Counter* binned_index_hits_ = nullptr;
-  obs::Counter* binned_index_misses_ = nullptr;
-  obs::Counter* streamed_index_hits_ = nullptr;
-  obs::Counter* streamed_index_misses_ = nullptr;
-  obs::Counter* relabel_stream_hits_ = nullptr;
-  obs::Counter* relabel_stream_misses_ = nullptr;
   // Fork-join counters are process-wide; DumpMetrics adds what they gained
   // since the last dump (or since construction).
   obs::Counter* fork_join_regions_ = nullptr;
@@ -401,23 +365,22 @@ class DiscoveryEngine {
   obs::Counter* fork_join_inline_regions_ = nullptr;
   mutable std::mutex fork_join_mutex_;
   mutable ForkJoinStats fork_join_seen_;
+  // The cache tiers, each a single-flight memo (util/memo.h) with a fixed
+  // capacity; see the constructor for their metric names.
   MetamodelCache cache_;
   std::unique_ptr<PersistentCache> disk_;  // null: tier disabled
-  mutable std::mutex column_index_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const ColumnIndex>> column_indexes_;
-  mutable std::mutex binned_index_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const BinnedIndex>> binned_indexes_;
-  // Streamed-build indexes, keyed by input fingerprint. A separate map
+  // Column and binned (exact-pack) indexes of in-memory datasets, keyed by
+  // the input fingerprint.
+  Memo<uint64_t, std::shared_ptr<const ColumnIndex>> column_indexes_;
+  Memo<uint64_t, std::shared_ptr<const BinnedIndex>> binned_indexes_;
+  // Streamed-build indexes, keyed by input fingerprint. A separate memo
   // from binned_indexes_: beyond the bin budget the two packings differ,
   // and streamed requests must always see streamed bins (warm == cold).
-  mutable std::mutex streamed_index_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const BinnedIndex>> streamed_indexes_;
+  Memo<uint64_t, std::shared_ptr<const BinnedIndex>> streamed_indexes_;
   // Finished streamed REDS relabelings, keyed by the engine-folded relabel
-  // cache key (see InstallRelabelStreamHooks). Entries share their index's
-  // bytes with nothing else: the relabeled stream is request-recipe-keyed,
-  // not dataset-keyed.
-  mutable std::mutex relabel_stream_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const StreamedDataset>> relabel_streams_;
+  // cache key (see MakeRelabelStreamProvider): request-recipe-keyed, not
+  // dataset-keyed.
+  Memo<uint64_t, std::shared_ptr<const StreamedDataset>> relabel_streams_;
   // Single-flight request coalescing: one entry per in-flight leader,
   // holding the followers that attached while it ran (mirrors the
   // metamodel cache's in_flight_ map, at job granularity).

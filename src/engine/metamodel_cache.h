@@ -1,30 +1,19 @@
-// Thread-safe metamodel cache: the heaviest step of a REDS request is
-// training (and especially CV-tuning) the metamodel, yet batches routinely
-// run many method variants ("RPx", "RPxp", "RBIcxp", ...) over the same
-// dataset. Keyed by (dataset fingerprint, metamodel kind, tuning flag,
-// tuning budget, seed), each distinct metamodel is fit exactly once per
-// cache; concurrent requests for the same key block on the first fit
-// instead of duplicating it. The cache is bounded: beyond `capacity`
-// entries, the least-recently-used *completed* models are evicted (counted
-// in stats), so long-lived engines cannot accumulate every model ever fit.
-// In-flight fits are pinned outside the LRU until they finish, so eviction
-// pressure can never trigger a duplicate concurrent fit of the same key.
+// The metamodel tier: the heaviest step of a REDS request is training (and
+// especially CV-tuning) the metamodel, yet batches routinely run many
+// method variants ("RPx", "RPxp", "RBIcxp", ...) over the same dataset.
+// Keyed by everything that shapes the fitted model, each distinct
+// metamodel is fit once per engine; concurrent requests for one key wait on
+// the first fit (util/memo.h).
 #ifndef REDS_ENGINE_METAMODEL_CACHE_H_
 #define REDS_ENGINE_METAMODEL_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <tuple>
 
 #include "ml/model.h"
 #include "ml/tuning.h"
-#include "obs/metrics.h"
-#include "util/lru_map.h"
+#include "util/memo.h"
 
 namespace reds::engine {
 
@@ -51,82 +40,9 @@ struct MetamodelKey {
   }
 };
 
-/// Point-in-time cache counters.
-struct MetamodelCacheStats {
-  int fits = 0;        // misses that ran training
-  int hits = 0;        // requests served without training
-  uint64_t evictions = 0;
-  int size = 0;        // entries currently cached
-  size_t capacity = 0; // max entries; 0 = unbounded
-};
-
-/// Shared cache of trained metamodels. Get-or-fit is deduplicating: when two
-/// threads race on the same key, one runs the fit and the other waits on a
-/// shared future, so the fit count per key is exactly one.
-class MetamodelCache {
- public:
-  using FitFn = std::function<std::shared_ptr<const ml::Metamodel>()>;
-
-  /// `capacity` bounds the number of cached models (LRU); 0 = unbounded.
-  /// Counters live in `metrics` under `cache.metamodel.{fits,hits,
-  /// evictions}` plus a `cache.metamodel.size` gauge; when null the cache
-  /// owns a private registry, so standalone construction keeps working and
-  /// the accessors below stay exact either way.
-  explicit MetamodelCache(size_t capacity = 0,
-                          obs::MetricsRegistry* metrics = nullptr);
-
-  /// Returns the cached model for `key`, running `fit` (at most once per
-  /// key) on a miss. A `fit` that throws is not cached; the exception
-  /// propagates to every waiter of that attempt and the next GetOrFit
-  /// retries.
-  std::shared_ptr<const ml::Metamodel> GetOrFit(const MetamodelKey& key,
-                                                const FitFn& fit);
-
-  /// Number of fits actually executed (cache misses that ran training).
-  /// A thin view over the `cache.metamodel.fits` registry counter.
-  int fit_count() const { return static_cast<int>(fits_->Value()); }
-
-  /// Number of requests served without training (including waits on an
-  /// in-flight fit for the same key).
-  int hit_count() const { return static_cast<int>(hits_->Value()); }
-
-  /// Number of entries dropped by LRU eviction.
-  uint64_t eviction_count() const;
-
-  /// Number of distinct models currently cached.
-  int size() const;
-
-  size_t capacity() const;
-
-  /// All counters plus size/capacity in one consistent snapshot.
-  MetamodelCacheStats stats() const;
-
-  /// Drops all entries; counters are preserved (drops do not count as
-  /// evictions).
-  void Clear();
-
- private:
-  // Entries are held by shared_ptr so the completion/failure paths can act
-  // on exactly the attempt they own (identity compare), never a successor
-  // inserted after a concurrent Clear().
-  using Entry = std::shared_future<std::shared_ptr<const ml::Metamodel>>;
-
-  void UpdateSizeGauge();  // requires mutex_ held
-
-  mutable std::mutex mutex_;
-  // Fits currently running: pinned (never evicted) so racing requests for
-  // the same key always find and wait on the one in-flight attempt.
-  std::map<MetamodelKey, std::shared_ptr<Entry>> in_flight_;
-  // Completed models, LRU-bounded.
-  LruMap<MetamodelKey, std::shared_ptr<Entry>> entries_;
-  // Fallback registry when none is shared in; declared before the metric
-  // pointers it backs.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::Counter* fits_ = nullptr;
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* evictions_ = nullptr;  // mirrors LruMap deltas
-  obs::Gauge* size_gauge_ = nullptr;
-};
+/// Trained metamodels by key; the engine registers it as `cache.metamodel`
+/// with `fits` as its miss counter.
+using MetamodelCache = Memo<MetamodelKey, std::shared_ptr<const ml::Metamodel>>;
 
 }  // namespace reds::engine
 

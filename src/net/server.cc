@@ -45,6 +45,15 @@ uint64_t RequestFingerprint(const SubmitRequest& msg) {
   return util::Fnv64(bytes.data().data(), bytes.size());
 }
 
+// Materialized eager datasets kept (LRU over distinct SourceSpecs).
+constexpr size_t kEagerDatasetCapacity = 16;
+
+// Carries a failed dataset build's Status through the memo, which hands
+// the same exception to every waiter and caches nothing.
+struct StatusError {
+  Status status;
+};
+
 }  // namespace
 
 void DiscoveryServer::EventQueue::Push(Event event) {
@@ -74,7 +83,8 @@ DiscoveryServer::DiscoveryServer(engine::DiscoveryEngine* engine,
     : engine_(engine),
       config_(std::move(config)),
       events_(std::make_shared<EventQueue>()),
-      datasets_(config_.dataset_cache_capacity),
+      datasets_(kEagerDatasetCapacity, &engine_->metrics(),
+                "net.dataset_cache"),
       result_cache_(std::make_shared<ResultCache>(config_.result_cache_entries)),
       decode_pool_(std::max(1, config_.decode_threads), &engine_->metrics(),
                    "net.decode") {
@@ -609,19 +619,22 @@ Result<std::shared_ptr<const Dataset>> DiscoveryServer::EagerDataset(
   spec.SerializeTo(&key_bytes);
   const uint64_t key =
       util::Fnv64(key_bytes.data().data(), key_bytes.size());
-  // Built under the lock: a concurrent burst of identical specs
-  // materializes once, which in turn is what lets the burst's engine
-  // submissions coalesce (same Dataset pointer, same fingerprint).
-  std::lock_guard<std::mutex> lock(dataset_mutex_);
-  if (auto* hit = datasets_.Get(key)) return *hit;
-  Result<std::unique_ptr<DatasetSource>> source = shard::MakeSource(spec, 1, 0);
-  if (!source.ok()) return source.status();
-  Result<Dataset> data = ReadAll(source->get(), spec.block_rows);
-  if (!data.ok()) return data.status();
-  std::shared_ptr<const Dataset> dataset =
-      std::make_shared<const Dataset>(std::move(*data));
-  datasets_.Put(key, dataset);
-  return dataset;
+  // A concurrent burst of identical specs materializes once, which in turn
+  // is what lets the burst's engine submissions coalesce (same Dataset
+  // pointer, same fingerprint). Distinct specs build in parallel.
+  try {
+    return datasets_.GetOrBuild(key, [&spec] {
+      Result<std::unique_ptr<DatasetSource>> source =
+          shard::MakeSource(spec, 1, 0);
+      if (!source.ok()) throw StatusError{source.status()};
+      Result<Dataset> data = ReadAll(source->get(), spec.block_rows);
+      if (!data.ok()) throw StatusError{data.status()};
+      return std::shared_ptr<const Dataset>(
+          std::make_shared<const Dataset>(std::move(*data)));
+    });
+  } catch (const StatusError& e) {
+    return e.status;
+  }
 }
 
 void DiscoveryServer::Shed(uint64_t conn_id, uint64_t request_id,

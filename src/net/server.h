@@ -42,6 +42,7 @@
 #include "net/protocol.h"
 #include "shard/wire.h"
 #include "util/lru_map.h"
+#include "util/memo.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -72,11 +73,6 @@ struct ServerConfig {
 
   /// Per-frame payload cap enforced by the decoder against hostile peers.
   size_t max_frame_bytes = 8u << 20;
-
-  /// Server-side LRU of materialized eager datasets, keyed by the
-  /// SourceSpec's bytes. One materialization per distinct spec is what
-  /// lets identical eager submits from different connections coalesce.
-  size_t dataset_cache_capacity = 16;
 
   /// Upper bound on rows * dims an eager request may materialize.
   int64_t max_eager_cells = 50'000'000;
@@ -242,8 +238,10 @@ class DiscoveryServer {
   uint64_t next_conn_id_ = 2;  // 0 = listen fd, 1 = wakeup pipe
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
 
-  std::mutex dataset_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const Dataset>> datasets_;
+  // Materialized eager datasets, keyed by the SourceSpec's bytes. One
+  // materialization per distinct spec is what lets identical eager
+  // submits from different connections coalesce.
+  Memo<uint64_t, std::shared_ptr<const Dataset>> datasets_;
 
   std::shared_ptr<ResultCache> result_cache_;
 

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <new>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -138,6 +140,11 @@ double MaskedPrefixSum(const double* y, const unsigned char* mask,
 double* AllocPackedDoubles(size_t n) {
   if (n == 0) n = 1;
   const size_t huge = size_t{2} << 20;
+  // Byte counts that wrap (here or in the rounding below) are as
+  // unsatisfiable as a failed allocation.
+  if (n > (std::numeric_limits<size_t>::max() - huge) / sizeof(double)) {
+    throw std::bad_alloc();
+  }
   size_t bytes = n * sizeof(double);
   if (bytes >= huge / 2) {
     // Round to whole 2 MiB chunks so the region is hugepage-mappable.
@@ -155,7 +162,9 @@ double* AllocPackedDoubles(size_t n) {
     // Fall through to a plain allocation on exotic failure.
   }
   bytes = (n * sizeof(double) + 63) & ~size_t{63};
-  return static_cast<double*>(std::aligned_alloc(64, bytes));
+  void* p = std::aligned_alloc(64, bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  return static_cast<double*>(p);
 }
 
 void FreePackedDoubles(double* p) { std::free(p); }
@@ -163,8 +172,11 @@ void FreePackedDoubles(double* p) { std::free(p); }
 void PackedDoubleBuffer::Resize(size_t n) {
   if (n <= size_) return;
   FreePackedDoubles(data_);
+  // Empty before allocating: a throw leaves a valid, empty buffer.
+  data_ = nullptr;
+  size_ = 0;
   data_ = AllocPackedDoubles(n);
-  size_ = data_ == nullptr ? 0 : n;
+  size_ = n;
 }
 
 }  // namespace reds::util

@@ -76,7 +76,8 @@ double MaskedPrefixSumReference(const double* y, const unsigned char* mask,
 /// Allocates an n-double buffer, 2 MiB-aligned and advised onto
 /// transparent huge pages when the size warrants it (a random-index walk
 /// over a multi-megabyte buffer otherwise pays an STLB lookup per access).
-/// Returns nullptr only when the underlying allocation fails.
+/// Throws std::bad_alloc when the allocation fails or n doubles overflow
+/// size_t.
 double* AllocPackedDoubles(size_t n);
 void FreePackedDoubles(double* p);
 
@@ -104,6 +105,8 @@ class PackedDoubleBuffer {
   }
 
   /// Ensures capacity for n doubles (geometric growth, contents dropped).
+  /// Throws std::bad_alloc as AllocPackedDoubles does, leaving the buffer
+  /// empty.
   void Resize(size_t n);
 
   double* data() { return data_; }

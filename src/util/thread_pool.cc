@@ -47,6 +47,16 @@ class BusyScope {
   const bool owns_;
 };
 
+// Stack of each fork-join helper thread. The deepest recursion a helper
+// runs is tree growth inside a ParallelFor body (one RF tree per index; a
+// GBT round is at most max_depth levels), about 340 bytes a level in an
+// optimized build. Helper stacks peaked under 17 KB across the test suite
+// and both memory smokes, so 2 MiB leaves over 100x headroom for deeper
+// trees and sanitizer frames. The default stack (RLIMIT_STACK, 8 MiB on
+// most systems) per helper is address space that a process under a
+// memory cap cannot spare.
+constexpr size_t kHelperStackBytes = size_t{2} << 20;
+
 // One open ParallelFor call. Lives on the caller's stack; the caller
 // unlinks it and waits for helpers == 0 before it returns, so no helper
 // touches it afterwards.
@@ -159,9 +169,24 @@ class ForkJoin {
     // The child has no helpers, so its regions run on their callers.
     pthread_atfork([] { Get().mutex_.lock(); }, [] { Get().mutex_.unlock(); },
                    [] { Get().mutex_.unlock(); });
+    // Detached helpers with a fixed stack (see kHelperStackBytes). A
+    // helper that cannot start is skipped: its share runs on the callers.
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setstacksize(&attr, kHelperStackBytes);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
     for (int i = 1; i < HardwareThreads(); ++i) {
-      std::thread([this] { HelperLoop(); }).detach();
+      pthread_t helper;
+      if (pthread_create(&helper, &attr, &ForkJoin::HelperMain, this) != 0) {
+        break;
+      }
     }
+    pthread_attr_destroy(&attr);
+  }
+
+  static void* HelperMain(void* self) {
+    static_cast<ForkJoin*>(self)->HelperLoop();
+    return nullptr;
   }
 
   // Takes a busy slot when the process has one to spare.

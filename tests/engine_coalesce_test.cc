@@ -113,14 +113,14 @@ struct ColdWork {
   uint64_t binned_misses = 0;
   uint64_t streamed_misses = 0;
   uint64_t relabel_misses = 0;
-  int fits = 0;
-  int hits = 0;
+  uint64_t fits = 0;
+  uint64_t hits = 0;
 };
 
 struct BurstRun {
   ColdWork work;
-  int fits = 0;
-  int hits = 0;
+  uint64_t fits = 0;
+  uint64_t hits = 0;
   uint64_t coalesced = 0;
   std::vector<JobHandle> jobs;
 };
@@ -146,8 +146,8 @@ BurstRun RunBurst(int n) {
       engine.metrics().counter("cache.index.streamed.misses")->Value();
   run.work.relabel_misses =
       engine.metrics().counter("cache.relabel.misses")->Value();
-  run.fits = engine.metamodel_cache().fit_count();
-  run.hits = engine.metamodel_cache().hit_count();
+  run.fits = engine.metamodel_cache().misses();
+  run.hits = engine.metamodel_cache().hits();
   run.coalesced = engine.metrics().counter("engine.jobs.coalesced")->Value();
   return run;
 }
@@ -159,8 +159,8 @@ TEST(EngineCoalesceTest, NIdenticalRequestsDoTheWorkOfOne) {
   // Exactly one metamodel fit on the cold engine, and -- unlike the
   // metamodel-cache dedup of previous engines -- zero additional cache
   // lookups: followers never reach any cache at all.
-  EXPECT_EQ(burst.fits, 1);
-  EXPECT_EQ(burst.hits, 0);
+  EXPECT_EQ(burst.fits, 1u);
+  EXPECT_EQ(burst.hits, 0u);
   EXPECT_EQ(burst.coalesced, 5u);
 
   // Every cold-work counter of the 6-request burst equals the 1-request

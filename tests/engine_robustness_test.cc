@@ -128,29 +128,12 @@ TEST(DiscoveryEngineColumnIndexTest, BatchOverSameDataIndexesOnce) {
     engine.Submit(std::move(request));
   }
   engine.WaitAll();
-  EXPECT_EQ(engine.column_index_cache_size(), 1);
+  EXPECT_EQ(engine.metrics().GaugeValue("cache.index.column.size"), 1);
 
   // The same data through the direct accessor reuses the cached index.
   const auto index = engine.GetColumnIndex(*train);
-  EXPECT_EQ(engine.column_index_cache_size(), 1);
+  EXPECT_EQ(engine.metrics().GaugeValue("cache.index.column.size"), 1);
   EXPECT_EQ(index->num_rows(), train->num_rows());
-}
-
-TEST(DiscoveryEngineColumnIndexTest, DisabledCacheStillProducesResults) {
-  const auto train = MakeData(150, 3, 9);
-  EngineConfig config;
-  config.threads = 2;
-  config.cache_column_indexes = false;
-  DiscoveryEngine engine(config);
-  DiscoveryRequest request;
-  request.train = train;
-  request.method = "P";
-  request.options = FastOptions();
-  request.cell = "p";
-  const auto job = engine.Submit(std::move(request));
-  engine.WaitAll();
-  ASSERT_EQ(job->state(), JobState::kDone);
-  EXPECT_EQ(engine.column_index_cache_size(), 0);
 }
 
 }  // namespace

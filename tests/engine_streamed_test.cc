@@ -84,28 +84,30 @@ TEST(EngineStreamedTest, PlainPrimSourceMatchesEagerOnGridData) {
   EXPECT_TRUE(streamed->output().last_box == eager->output().last_box);
   // The streamed job quantized through its own tier; it never touched the
   // eager path's column index.
-  EXPECT_EQ(engine.streamed_index_cache_size(), 1);
+  EXPECT_EQ(engine.metrics().GaugeValue("cache.index.streamed.size"), 1);
 }
 
 TEST(EngineStreamedTest, StreamedAndEagerRedsShareOneMetamodelFit) {
   // Identical bytes through different ingestion paths must land on one
   // cache key: the incremental stream hash equals the in-memory hash.
-  // The relabel-stream cache is off so both jobs are guaranteed to reach
-  // the metamodel cache (it keys on the same full fingerprint and would
-  // otherwise serve whichever job runs second, timing-dependent).
+  // RPx and RPxp share the metamodel but not the relabel stream, so both
+  // jobs reach the metamodel tier: one fit, one hit.
   const auto data = MakeGridData(250, 4, 2);
-  EngineConfig count_config;
-  count_config.threads = 2;
-  count_config.cache_relabel_streams = false;
-  DiscoveryEngine engine(count_config);
+  DiscoveryEngine engine({/*threads=*/2});
   const auto streamed = engine.Submit(SourceRequest(data, "RPx"));
-  const auto eager = engine.Submit(EagerRequest(data, "RPx"));
+  const auto eager_p = engine.Submit(EagerRequest(data, "RPxp"));
   engine.WaitAll();
   ASSERT_EQ(streamed->state(), JobState::kDone)
       << (streamed->state() == JobState::kFailed ? streamed->error() : "");
+  ASSERT_EQ(eager_p->state(), JobState::kDone);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 1u);
+  // The eager RPx shares the streamed one's relabel stream, and its box.
+  const auto eager = engine.Submit(EagerRequest(data, "RPx"));
+  engine.WaitAll();
   ASSERT_EQ(eager->state(), JobState::kDone);
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 1);
+  EXPECT_EQ(engine.metrics().CounterValue("cache.relabel.misses"), 2u);
+  EXPECT_EQ(engine.metrics().CounterValue("cache.relabel.hits"), 1u);
   EXPECT_TRUE(streamed->output().last_box == eager->output().last_box);
 }
 
@@ -130,7 +132,7 @@ TEST(EngineStreamedTest, ShardedPrimMatchesSingleProcessStreamed) {
             single->output().trajectory.size());
   // The fleet pulled its own source instances; only the single-process job
   // went through the streamed index tier.
-  EXPECT_EQ(engine.streamed_index_cache_size(), 1);
+  EXPECT_EQ(engine.metrics().GaugeValue("cache.index.streamed.size"), 1);
   // Worker registries folded into the engine's.
   const std::string dump = engine.DumpMetrics(obs::ExportFormat::kJson);
   EXPECT_NE(dump.find("shard.worker.rows"), std::string::npos);
@@ -149,7 +151,7 @@ TEST(EngineStreamedTest, RepeatSourceIngestIndexesOnce) {
   EXPECT_EQ(a.input_fingerprint, b.input_fingerprint);
   EXPECT_EQ(a.index.get(), b.index.get());
   EXPECT_EQ(*a.y, *b.y);
-  EXPECT_EQ(engine.streamed_index_cache_size(), 1);
+  EXPECT_EQ(engine.metrics().GaugeValue("cache.index.streamed.size"), 1);
 }
 
 TEST(EngineStreamedTest, WarmEngineServesStreamedRedsWithZeroWork) {
@@ -172,7 +174,7 @@ TEST(EngineStreamedTest, WarmEngineServesStreamedRedsWithZeroWork) {
         << (reds_job->state() == JobState::kFailed ? reds_job->error() : "");
     ASSERT_EQ(prim_job->state(), JobState::kDone);
     cold_box = reds_job->output().last_box;
-    EXPECT_EQ(cold.metamodel_cache().fit_count(), 1);
+    EXPECT_EQ(cold.metamodel_cache().misses(), 1u);
     const PersistentCacheStats stats = cold.persistent_cache_stats();
     EXPECT_GE(stats.model_writes, 1);
     EXPECT_GE(stats.index_writes, 1);
@@ -201,7 +203,7 @@ TEST(EngineStreamedTest, WarmEngineServesStreamedRedsWithZeroWork) {
     EXPECT_EQ(stats.model_hits, 0);
     EXPECT_EQ(stats.model_misses, 0);
     EXPECT_EQ(stats.model_writes, 0);
-    EXPECT_EQ(warm.metamodel_cache().fit_count(), 0);
+    EXPECT_EQ(warm.metamodel_cache().misses(), 0u);
     // Zero index builds: the streamed index came from disk too.
     EXPECT_GE(stats.index_hits, 1);
     EXPECT_EQ(stats.index_writes, 0);

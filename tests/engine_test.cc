@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "engine/discovery_engine.h"
 #include "engine/fingerprint.h"
@@ -41,20 +43,25 @@ RunOptions FastOptions() {
   return options;
 }
 
-// Engine config for the metamodel-accounting tests below. The
-// relabel-stream cache serves a repeat REDS job its finished relabeled
-// stream before the metamodel cache is ever consulted -- and whether a
-// concurrent repeat hits it depends on job timing -- so these tests turn
-// it off to count every metamodel lookup deterministically. Job-level
-// coalescing is off for the same reason: a coalesced follower never
-// consults any cache at all (that layer has its own accounting test,
-// engine_coalesce_test).
+// Engine config for the metamodel-accounting tests below. Job-level
+// coalescing is off: a coalesced follower never consults any cache at all
+// (that layer has its own accounting test, engine_coalesce_test). Every
+// tier is single-flight, so the counts below do not depend on timing: a
+// REDS job reaches the metamodel tier only when it builds its relabel
+// stream, once per distinct stream key.
 EngineConfig CountEveryLookupConfig(int threads) {
   EngineConfig config;
   config.threads = threads;
-  config.cache_relabel_streams = false;
   config.coalesce_requests = false;
   return config;
+}
+
+uint64_t CounterOf(const DiscoveryEngine& engine, const std::string& name) {
+  return engine.metrics().CounterValue(name);
+}
+
+int64_t GaugeOf(const DiscoveryEngine& engine, const std::string& name) {
+  return engine.metrics().GaugeValue(name);
 }
 
 DiscoveryRequest MakeRequest(std::shared_ptr<const Dataset> train,
@@ -72,7 +79,8 @@ TEST(MetamodelCacheTest, FitCountIsOneForKSameDatasetRedsRequests) {
   const auto train = MakeData(200, 4, 1);
   DiscoveryEngine engine(CountEveryLookupConfig(/*threads=*/4));
   // Three REDS variants, all with the GBT metamodel: the relabeling (hard
-  // vs. probability labels) differs but the metamodel is shared.
+  // vs. probability labels) differs but the metamodel is shared. The
+  // repeated RPx is served its relabel stream and never asks for a model.
   std::vector<JobHandle> jobs;
   for (const char* method : {"RPx", "RPxp", "RPx"}) {
     jobs.push_back(engine.Submit(MakeRequest(train, method)));
@@ -82,9 +90,11 @@ TEST(MetamodelCacheTest, FitCountIsOneForKSameDatasetRedsRequests) {
     ASSERT_EQ(job->state(), JobState::kDone)
         << (job->state() == JobState::kFailed ? job->error() : "");
   }
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 2);
-  EXPECT_EQ(engine.metamodel_cache().size(), 1);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().size(), 1u);
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.misses"), 2u);
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.hits"), 1u);
 }
 
 TEST(MetamodelCacheTest, DistinctKindsAndDatasetsFitSeparately) {
@@ -95,8 +105,8 @@ TEST(MetamodelCacheTest, DistinctKindsAndDatasetsFitSeparately) {
   engine.Submit(MakeRequest(train_a, "RPf"));  // same data, other metamodel
   engine.Submit(MakeRequest(train_b, "RPx"));  // other data, same metamodel
   engine.WaitAll();
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 3);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 0);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 3u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 0u);
 }
 
 TEST(MetamodelCacheTest, BitwiseEqualDatasetObjectsShareOneFit) {
@@ -104,12 +114,20 @@ TEST(MetamodelCacheTest, BitwiseEqualDatasetObjectsShareOneFit) {
   const auto train_a = MakeData(150, 3, 7);
   const auto train_b = MakeData(150, 3, 7);
   ASSERT_NE(train_a.get(), train_b.get());
+  // RPx and RPxp share the metamodel but not the relabel stream, so both
+  // reach the metamodel tier.
   DiscoveryEngine engine(CountEveryLookupConfig(/*threads=*/2));
   engine.Submit(MakeRequest(train_a, "RPx"));
+  engine.Submit(MakeRequest(train_b, "RPxp"));
+  engine.WaitAll();
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 1u);
+  // The same method on either object shares the relabel stream too.
   engine.Submit(MakeRequest(train_b, "RPx"));
   engine.WaitAll();
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 1);
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.misses"), 2u);
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.hits"), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 1u);
 }
 
 TEST(BinnedIndexCacheTest, BatchOverOneDatasetQuantizesOnce) {
@@ -124,13 +142,13 @@ TEST(BinnedIndexCacheTest, BatchOverOneDatasetQuantizesOnce) {
     engine.Submit(std::move(request));
   }
   engine.WaitAll();
-  EXPECT_EQ(engine.column_index_cache_size(), 1);
-  EXPECT_EQ(engine.binned_index_cache_size(), 1);
+  EXPECT_EQ(GaugeOf(engine, "cache.index.column.size"), 1);
+  EXPECT_EQ(GaugeOf(engine, "cache.index.binned.size"), 1);
   // The cached quantization is the one the provider hands out.
   const auto binned = engine.GetBinnedIndex(*train);
   ASSERT_NE(binned, nullptr);
   EXPECT_EQ(binned->num_rows(), train->num_rows());
-  EXPECT_EQ(engine.binned_index_cache_size(), 1);
+  EXPECT_EQ(GaugeOf(engine, "cache.index.binned.size"), 1);
 }
 
 TEST(BinnedIndexCacheTest, HistogramBackendKeysMetamodelsSeparately) {
@@ -145,8 +163,8 @@ TEST(BinnedIndexCacheTest, HistogramBackendKeysMetamodelsSeparately) {
   engine.Submit(std::move(presorted));
   engine.Submit(std::move(histogram));
   engine.WaitAll();
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 2);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 0);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 2u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 0u);
 }
 
 TEST(DiscoveryEngineTest, ConcurrentSubmissionStress) {
@@ -176,11 +194,56 @@ TEST(DiscoveryEngineTest, ConcurrentSubmissionStress) {
     EXPECT_GE(m.precision, 0.0);
     EXPECT_GE(m.runtime_seconds, 0.0);
   }
-  // Two datasets x one (GBT, untuned) metamodel each; everything else hits.
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 2);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 16 - 2);
+  // Four relabel streams (RPx, RPxp per dataset), each built once; the
+  // other 12 REDS jobs are served them. Only the builds reach the
+  // metamodel tier: two datasets x one (GBT, untuned) model, one fit and
+  // one hit each.
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.misses"), 4u);
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.hits"), 16u - 4u);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 2u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 2u);
   EXPECT_TRUE(engine.results().Contains("RPx|a"));
   EXPECT_EQ(engine.results().cell("P|b").reps.size(), 4u);
+}
+
+TEST(EngineMemoTest, ConcurrentBurstBuildsEachIndexOnce) {
+  // Four non-REDS methods over one fresh dataset, all in flight at once:
+  // every one asks for the column index, the PRIM family (P, Pc) for the
+  // binned index too. Racing jobs wait on the one build instead of
+  // building their own.
+  const auto train = MakeData(300, 4, 21);
+  DiscoveryEngine engine(CountEveryLookupConfig(/*threads=*/4));
+  std::vector<JobHandle> jobs;
+  for (const char* method : {"P", "Pc", "PB", "BI"}) {
+    jobs.push_back(engine.Submit(MakeRequest(train, method)));
+  }
+  engine.WaitAll();
+  for (const auto& job : jobs) {
+    ASSERT_EQ(job->state(), JobState::kDone)
+        << (job->state() == JobState::kFailed ? job->error() : "");
+  }
+  EXPECT_EQ(CounterOf(engine, "cache.index.column.misses"), 1u);
+  EXPECT_EQ(CounterOf(engine, "cache.index.binned.misses"), 1u);
+  EXPECT_GE(CounterOf(engine, "cache.index.column.hits"), 3u);
+  EXPECT_EQ(CounterOf(engine, "cache.index.binned.hits"), 1u);
+}
+
+TEST(EngineMemoTest, ConcurrentRedsVariantsShareOneRelabelStream) {
+  // RPx and RPcx differ only in PRIM's alpha, which is not part of the
+  // relabel stream's key: one stream build, hence one metamodel lookup.
+  const auto train = MakeData(200, 4, 22);
+  DiscoveryEngine engine(CountEveryLookupConfig(/*threads=*/2));
+  const JobHandle plain = engine.Submit(MakeRequest(train, "RPx"));
+  const JobHandle tuned = engine.Submit(MakeRequest(train, "RPcx"));
+  engine.WaitAll();
+  ASSERT_EQ(plain->state(), JobState::kDone)
+      << (plain->state() == JobState::kFailed ? plain->error() : "");
+  ASSERT_EQ(tuned->state(), JobState::kDone)
+      << (tuned->state() == JobState::kFailed ? tuned->error() : "");
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.misses"), 1u);
+  EXPECT_EQ(CounterOf(engine, "cache.relabel.hits"), 1u);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 0u);
 }
 
 TEST(DiscoveryEngineTest, SameSeedSameResultsRegardlessOfThreadCount) {
@@ -236,7 +299,7 @@ TEST(DiscoveryEngineTest, LazyDatasetFactoryMatchesEagerDataset) {
   ASSERT_EQ(lazy_job->state(), JobState::kDone);
   ASSERT_EQ(eager_job->state(), JobState::kDone);
   // Bitwise-identical generated data shares the cache entry...
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
   // ...and therefore the exact same discovered scenario.
   EXPECT_TRUE(lazy_job->output().last_box == eager_job->output().last_box);
 }

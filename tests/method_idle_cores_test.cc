@@ -7,6 +7,7 @@
 // the streamed BinnedIndex must be byte-identical.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -49,11 +50,15 @@ MethodRun RunOnce(const std::string& method, const Dataset& train) {
         run.metamodel_bytes = bytes.data();
         return model;
       };
-  options.streamed_relabel_store =
-      [&run](uint64_t, std::shared_ptr<const StreamedDataset> data) {
+  options.streamed_relabel_provider =
+      [&run](uint64_t, int, int,
+             const std::function<std::shared_ptr<const StreamedDataset>()>&
+                 build) {
+        std::shared_ptr<const StreamedDataset> data = build();
         util::ByteWriter bytes;
         data->index->Serialize(&bytes);
         run.index_bytes = bytes.data();
+        return data;
       };
   run.plan = PlanMethod(spec, train, options);
   run.out = ExecuteMethodPlan(run.plan, train, options);

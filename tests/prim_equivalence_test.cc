@@ -20,6 +20,7 @@
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
 #include "hold_slots.h"
+#include "reference_bi.h"
 #include "reference_prim.h"
 #include "util/rng.h"
 
@@ -292,7 +293,7 @@ TEST(BiEquivalenceTest, SameBoxAcrossSeedsAndBeamSizes) {
       const Dataset d = MakeData(400, 4, seed, /*fractional=*/false, 12);
       BiConfig config;
       config.beam_size = beam;
-      const BiResult ref = RunBiReference(d, config);
+      const BiResult ref = reference::RunBiReference(d, config);
       const BiResult opt = RunBi(d, config);
       EXPECT_TRUE(ref.box == opt.box)
           << "seed " << seed << " beam " << beam;

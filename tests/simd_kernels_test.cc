@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "ml/histogram.h"
@@ -307,6 +308,29 @@ TEST(SimdKernelsTest, ForceLevelClampsToBuildAndCpu) {
   EXPECT_EQ(forced == SimdLevel::kAvx2, util::Avx2Available());
   EXPECT_EQ(util::ForceSimdLevel(SimdLevel::kScalar), SimdLevel::kScalar);
   util::ForceSimdLevel(previous);
+}
+
+TEST(PackedDoubleBufferTest, OutOfMemoryResizeThrowsAndLeavesItEmpty) {
+  util::PackedDoubleBuffer buffer;
+  buffer.Resize(16);
+  ASSERT_NE(buffer.data(), nullptr);
+  // 2^62 doubles: the byte count wraps size_t. Before the overflow check,
+  // the wrapped count allocated a few bytes and claimed 2^62 doubles.
+  EXPECT_THROW(buffer.Resize(size_t{1} << 62), std::bad_alloc);
+  EXPECT_EQ(buffer.data(), nullptr);
+  EXPECT_EQ(buffer.size(), 0u);
+#if !defined(__SANITIZE_ADDRESS__)
+  // 2^47 doubles (1 PiB) do not wrap but exceed the address space, so the
+  // allocator returns null. (AddressSanitizer aborts on such requests
+  // instead of returning null, so this half runs in plain builds only.)
+  EXPECT_THROW(buffer.Resize(size_t{1} << 47), std::bad_alloc);
+  EXPECT_EQ(buffer.size(), 0u);
+#endif
+  // Still usable, and destroys without a double free.
+  buffer.Resize(8);
+  ASSERT_NE(buffer.data(), nullptr);
+  EXPECT_EQ(buffer.size(), 8u);
+  buffer.data()[7] = 1.0;
 }
 
 }  // namespace

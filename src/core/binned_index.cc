@@ -64,18 +64,32 @@ constexpr int kBucketsPerBound = 4;
 
 }  // namespace
 
-void SketchColumn(const double* x, int rows, int stride, int cap,
-                  ColumnSketch* col) {
+ColumnSketch SketchColumn(const double* x, int rows, int stride, int cap,
+                          double eps) {
+  ColumnSketch block(eps);
   for (int r = 0; r < rows; ++r) {
-    col->AddValue(x[static_cast<size_t>(r) * stride], cap);
+    block.AddValue(x[static_cast<size_t>(r) * stride], cap);
   }
+  return block;
 }
 
-void SketchRows(const double* x, int rows, int m, int cap,
-                std::vector<ColumnSketch>* cols) {
-  for (int j = 0; j < m; ++j) {
-    SketchColumn(x + j, rows, m, cap, &(*cols)[static_cast<size_t>(j)]);
-  }
+void FoldBlock(const std::vector<ColumnSketch>& block, int cap,
+               std::vector<ColumnSketch>* acc) {
+  for (size_t j = 0; j < acc->size(); ++j) (*acc)[j].ReserveFold(block[j]);
+  ParallelFor(0, static_cast<int>(acc->size()), [&](int j) {
+    (*acc)[static_cast<size_t>(j)].MergeFrom(block[static_cast<size_t>(j)],
+                                             cap);
+  });
+}
+
+void SketchBlock(const double* x, int rows, int m, int cap,
+                 std::vector<ColumnSketch>* acc) {
+  const double eps = acc->front().sketch.eps();
+  std::vector<ColumnSketch> block(static_cast<size_t>(m), ColumnSketch(eps));
+  ParallelFor(0, m, [&](int j) {
+    block[static_cast<size_t>(j)] = SketchColumn(x + j, rows, m, cap, eps);
+  });
+  FoldBlock(block, cap, acc);
 }
 
 // One-time spill of the exact pairs into the sketch on cap overflow. The
@@ -152,6 +166,16 @@ void ColumnSketch::MergeFrom(const ColumnSketch& other, int cap) {
   }
 }
 
+void ColumnSketch::ReserveFold(const ColumnSketch& block) {
+  if (!overflow && !block.overflow) return;
+  // The sketch MergeFrom leaves: this column's pairs spilled, then the
+  // block's tuples (or its pairs) merged in.
+  const size_t own = overflow ? 0 : distinct.size();
+  const size_t other =
+      block.overflow ? block.sketch.SummarySize() : block.distinct.size();
+  sketch.ReserveMerge(own + other);
+}
+
 void ColumnSketch::SerializeTo(util::ByteWriter* out) const {
   out->U8(overflow ? 1 : 0);
   if (overflow) {
@@ -219,6 +243,16 @@ std::vector<double> StreamedBinUpperBounds(ColumnSketch* summary, int64_t n,
   // Catch-all last bin; its recorded bounds come from the coding pass.
   ub.push_back(std::numeric_limits<double>::infinity());
   return ub;
+}
+
+std::vector<std::vector<double>> StreamedBinUpperBounds(
+    std::vector<ColumnSketch>* summaries, int64_t n, int cap) {
+  std::vector<std::vector<double>> upper(summaries->size());
+  ParallelFor(0, static_cast<int>(summaries->size()), [&](int j) {
+    upper[static_cast<size_t>(j)] = StreamedBinUpperBounds(
+        &(*summaries)[static_cast<size_t>(j)], n, cap);
+  });
+  return upper;
 }
 
 BinCoder::BinCoder(std::vector<double> upper) : upper_(std::move(upper)) {
@@ -409,11 +443,9 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
     // Each block is sketched in place, straight off the source's view
     // (valid until the next NextBlock call), with nothing copied. Fork-join
     // index 0 hashes the block; index 1 + j sketches column j into a
-    // block-local summary. The caller then folds the block summaries into
-    // the accumulators, so the long-lived accumulators grow in the
-    // caller's allocator arena rather than scattered over the helpers'
-    // (where their freed growth would stay resident). Columns are
-    // independent and blocks fold in block order, so the summaries do not
+    // block-local summary (SketchColumn), written to its own slot of
+    // `local`. FoldBlock then folds each column's block into acc[j], one
+    // fork-join index per column, in block order, so the summaries do not
     // depend on how many cores took part; only block_rows can move sketch
     // boundaries.
     std::vector<ColumnSketch> local(static_cast<size_t>(m),
@@ -432,13 +464,10 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
           full_hasher.AddRows(x, block_y, rows);
           return;
         }
-        // Sketched in a thread-private summary, then moved into place:
-        // neighbouring summaries in `local` share cache lines.
-        ColumnSketch column(options.sketch_eps);
-        SketchColumn(x + (k - 1), rows, m, cap, &column);
-        local[static_cast<size_t>(k - 1)] = std::move(column);
+        local[static_cast<size_t>(k - 1)] =
+            SketchColumn(x + (k - 1), rows, m, cap, options.sketch_eps);
       });
-      for (size_t j = 0; j < acc.size(); ++j) acc[j].MergeFrom(local[j], cap);
+      FoldBlock(local, cap, &acc);
     }
   }
 
@@ -452,14 +481,16 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
   // --- Bin boundaries: distinct values when they fit, sketch quantiles ---
   // otherwise. coders[j] holds ascending bin upper bounds; a value's code is
   // the first bin whose upper bound is >= it.
+  bool any_sketch = false;
+  for (const ColumnSketch& cs : acc) any_sketch = any_sketch || cs.overflow;
+  std::vector<std::vector<double>> upper;
+  {
+    obs::Span span("index.bin_bounds");
+    upper = StreamedBinUpperBounds(&acc, n, cap);
+  }
   std::vector<BinCoder> coders;
   coders.reserve(static_cast<size_t>(m));
-  bool any_sketch = false;
-  for (int j = 0; j < m; ++j) {
-    ColumnSketch& cs = acc[static_cast<size_t>(j)];
-    any_sketch = any_sketch || cs.overflow;
-    coders.emplace_back(StreamedBinUpperBounds(&cs, n, cap));
-  }
+  for (std::vector<double>& u : upper) coders.emplace_back(std::move(u));
 
   // --- Pass 2: code every row chunk by chunk, tracking per-bin counts ----
   // and exact min/max values.

@@ -130,30 +130,53 @@ struct ColumnSketch {
 
   void MergeFrom(const ColumnSketch& other, int cap);
 
+  /// Reserves the room MergeFrom(block) needs in this column's sketch when
+  /// either side has overflowed, so that merge allocates no sketch
+  /// storage. A merge of two exact columns still allocates: fresh pair
+  /// vectors, and a spill of at most 2 * cap pairs should it overflow.
+  void ReserveFold(const ColumnSketch& block);
+
   /// Wire form for the shard transport; round-trips the summary state
   /// exactly (exact pairs or flushed sketch tuples).
   void SerializeTo(util::ByteWriter* out) const;
   static Result<ColumnSketch> DeserializeFrom(util::ByteReader* in);
 };
 
-/// Feeds one column of a row block (`rows` values, `stride` doubles apart,
-/// starting at `x`) into its summary. The sketch pass of BuildStreamed runs
-/// one of these per column.
-void SketchColumn(const double* x, int rows, int stride, int cap,
-                  ColumnSketch* col);
+/// The sketch pass's per-column step: summarizes one column of a row block
+/// (`rows` values, `stride` doubles apart, starting at `x`) into a fresh
+/// block summary.
+ColumnSketch SketchColumn(const double* x, int rows, int stride, int cap,
+                          double eps);
 
-/// Feeds a row-major block (`rows` rows of `m` doubles) into per-column
-/// summaries, column by column. The sketch pass of the shard workers.
-void SketchRows(const double* x, int rows, int m, int cap,
-                std::vector<ColumnSketch>* cols);
+/// Folds a block's per-column summaries into the accumulators, block[j]
+/// into (*acc)[j], one fork-join index per column. The fold contract: each
+/// column folds its blocks one after another, in block order, on whichever
+/// thread runs it, so the summaries are the serial loop's byte for byte
+/// however the columns are spread over cores. The caller reserves each
+/// fold's room first (ColumnSketch::ReserveFold): the long-lived
+/// accumulators then grow in the caller's allocator arena, not in a
+/// helper's, where freed growth would stay resident.
+void FoldBlock(const std::vector<ColumnSketch>& block, int cap,
+               std::vector<ColumnSketch>* acc);
+
+/// SketchColumn for every column of a row-major block (`rows` rows of `m`
+/// doubles), one fork-join index per column, then FoldBlock. The shard
+/// workers' sketch pass; BuildStreamed runs the same two steps, hashing
+/// the block beside the column sketches.
+void SketchBlock(const double* x, int rows, int m, int cap,
+                 std::vector<ColumnSketch>* acc);
 
 /// Bin upper bounds derived from a finished pass-1 column summary: the
 /// distinct values themselves below the cap, equal-share sketch quantiles
 /// plus a +inf catch-all above it. Consumes the summary's distinct list.
-/// Shared verbatim by BuildStreamed and the shard coordinator so global
-/// bins are derived by the same code in both topologies.
 std::vector<double> StreamedBinUpperBounds(ColumnSketch* summary, int64_t n,
                                            int cap);
+
+/// The per-column bounds above for every summary, one fork-join index per
+/// column. Shared verbatim by BuildStreamed and the shard coordinator so
+/// global bins are derived by the same code in both topologies.
+std::vector<std::vector<double>> StreamedBinUpperBounds(
+    std::vector<ColumnSketch>* summaries, int64_t n, int cap);
 
 /// One column's pass-2 coding aggregates over the raw-bin space (counts and
 /// exact value ranges per bin). Additive across disjoint row sets: counts
@@ -276,7 +299,11 @@ class BinnedIndex {
   /// Streaming build: two passes over `source` (sketch pass, coding pass),
   /// consuming fixed-size row blocks. See the file comment for the
   /// equivalence contract. The source must yield the identical row
-  /// sequence on both passes.
+  /// sequence on both passes. Per block, the fork-join hashes the rows and
+  /// runs SketchColumn per column, then FoldBlock folds each column's block
+  /// into its accumulator in block order; the bounds then come
+  /// column-parallel from StreamedBinUpperBounds. Index bytes and fingerprints are the
+  /// same whether the columns run on idle cores or all inline.
   static Result<StreamedDataset> BuildStreamed(
       DatasetSource* source, const StreamedBuildOptions& options = {});
 

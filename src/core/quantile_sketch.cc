@@ -325,6 +325,11 @@ double QuantileSketch::QueryQuantile(double q) const {
       static_cast<int64_t>(std::llround(clamped * static_cast<double>(n - 1))));
 }
 
+void QuantileSketch::ReserveMerge(size_t tuples) {
+  // Merge flushes this sketch's buffer into tuples_, then merges in place.
+  tuples_.reserve(tuples_.size() + buffer_.size() + tuples);
+}
+
 size_t QuantileSketch::SummarySize() const {
   Flush();
   return tuples_.size();

@@ -53,6 +53,10 @@ class QuantileSketch {
   /// Both must share the same eps.
   void Merge(const QuantileSketch& other);
 
+  /// Reserves room to Merge a summary of up to `tuples` tuples without
+  /// reallocating. Leaves the summary state untouched.
+  void ReserveMerge(size_t tuples);
+
   /// Observations summarized so far.
   int64_t count() const { return n_ + static_cast<int64_t>(buffer_.size()); }
 

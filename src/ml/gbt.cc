@@ -740,10 +740,15 @@ double GradientBoostedTrees::PredictMargin(const double* x) const {
 
 void GradientBoostedTrees::PredictBlock(la::ConstMatrixView x,
                                         double* out) const {
+  PredictBlock(x, trees_.num_trees(), out);
+}
+
+void GradientBoostedTrees::PredictBlock(la::ConstMatrixView x, int num_trees,
+                                        double* out) const {
   assert(x.cols() == num_features_);
+  assert(num_trees >= 0 && num_trees <= trees_.num_trees());
   std::fill(out, out + x.rows(), base_margin_);
-  trees_.AccumulateLeaves(0, trees_.num_trees(), x.data(), x.rows(),
-                          x.cols(), out);
+  trees_.AccumulateLeaves(0, num_trees, x.data(), x.rows(), x.cols(), out);
   for (int r = 0; r < x.rows(); ++r) out[r] = Sigmoid(out[r]);
 }
 

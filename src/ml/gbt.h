@@ -71,6 +71,12 @@ class GradientBoostedTrees : public Metamodel {
                  const BinnedIndex* binned) override;
 
   void PredictBlock(la::ConstMatrixView x, double* out) const override;
+
+  /// PredictBlock through the first `num_trees` trees only. The round loop
+  /// draws no randomness when subsample and colsample are 1, so a fit's
+  /// first r trees are an r-round fit's trees: this is that fit's
+  /// PredictBlock, bit for bit (trees are added in order for every row).
+  void PredictBlock(la::ConstMatrixView x, int num_trees, double* out) const;
   int num_features() const override { return num_features_; }
 
   /// Raw additive score before the sigmoid (log-odds scale).

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/binned_index.h"
 #include "core/column_index.h"
@@ -37,11 +38,12 @@ struct TuningConfig {
 std::vector<int> FoldAssignment(int n, int k, uint64_t seed);
 
 /// Tunes the given metamodel family by grid search with k-fold CV on
-/// log-loss, then refits the winning configuration on all of d. Every grid
-/// candidate is evaluated on the same folds, fitting through per-fold row
-/// views over one shared full-data index (prebuilt `index`/`binned` of d
-/// are reused when given), so tuning residency stays O(1 fold) whatever k
-/// is and no fold's training matrix is ever copied.
+/// log-loss (span metamodel.tune.cv), then refits the winning configuration
+/// on all of d (metamodel.tune.refit). Every grid candidate is evaluated on
+/// the same folds, scored in stages as TuningCellLosses does, fitting
+/// through per-fold row views over one shared full-data index (prebuilt
+/// `index`/`binned` of d are reused when given), so tuning residency stays
+/// O(1 fold) whatever k is and no fold's training matrix is ever copied.
 std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
                                       uint64_t seed,
                                       const TuningConfig& config = {},
@@ -52,24 +54,33 @@ std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
 /// CV search across workers. The grid enumeration is deterministic in
 /// (kind, num_features, config) with a contractual cell order, so a
 /// coordinator that shards cell indices, collects per-cell losses, and
-/// argmins first-wins in cell order picks exactly PickBest's winner.
+/// argmins first-wins in cell order picks exactly TuneAndFit's winner.
 int TuningGridSize(MetamodelKind kind, int num_features,
                    const TuningConfig& config);
 
-/// Unfitted model of grid cell `cell`: the configuration TuningCellLoss
+/// Unfitted model of grid cell `cell`: the configuration TuningCellLosses
 /// scores and TuningCellFit refits.
 std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
                                            int num_features,
                                            const TuningConfig& config);
 
-/// Mean CV log-loss of grid cell `cell`, with the same folds (seed-derived)
-/// and per-cell seed stream as TuneAndFit -- evaluating a cell here (e.g. on
-/// a shard worker) or inline gives the same double. Prebuilt full-data
-/// indexes of d are reused when given.
-double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
-                      uint64_t seed, const TuningConfig& config,
-                      const ColumnIndex* index = nullptr,
-                      const BinnedIndex* binned = nullptr);
+/// Mean CV log-loss of each grid cell in `cells`, with the same folds
+/// (seed-derived) and per-cell seed stream as TuneAndFit. The staged-scoring
+/// contract: GBT cells that differ only in num_rounds (their fits draw no
+/// randomness) are scored off one fit per fold, of the longest such cell in
+/// `cells`, through its first num_rounds trees -- caret's sub-model trick,
+/// xgboost's iteration_range. Trees are added in order for every row, so
+/// each cell's loss is the same double whichever cells it is scored with
+/// (TuningCellLosses(kind, {cell}, ...) fits it on its own): evaluating a
+/// cell here (e.g. on a shard worker) or inline gives the same double.
+/// TuneAndFit scores the whole grid this way. Prebuilt full-data indexes of
+/// d are reused when given.
+std::vector<double> TuningCellLosses(MetamodelKind kind,
+                                     const std::vector<int>& cells,
+                                     const Dataset& d, uint64_t seed,
+                                     const TuningConfig& config,
+                                     const ColumnIndex* index = nullptr,
+                                     const BinnedIndex* binned = nullptr);
 
 /// Refits grid cell `cell`'s configuration on all of d with TuneAndFit's
 /// refit seed stream: TuningCellFit(kind, winner, ...) reproduces the model

@@ -88,12 +88,9 @@ Status ShardCoordinator::BuildGlobalBins() {
 
   // Global bin upper bounds via the exact BuildStreamed derivation.
   bool any_sketch = false;
-  std::vector<std::vector<double>> upper(static_cast<size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    ColumnSketch& cs = acc[static_cast<size_t>(j)];
-    any_sketch = any_sketch || cs.overflow;
-    upper[static_cast<size_t>(j)] = StreamedBinUpperBounds(&cs, n, cap);
-  }
+  for (const ColumnSketch& cs : acc) any_sketch = any_sketch || cs.overflow;
+  std::vector<std::vector<double>> upper =
+      StreamedBinUpperBounds(&acc, n, cap);
 
   // Round 2: broadcast the bounds; every worker codes its rows against
   // them and ships its per-raw-bin coding stats; stats are additive.
@@ -537,7 +534,7 @@ Result<std::unique_ptr<ml::Metamodel>> ShardCoordinator::TuneAndFitSharded(
     }
   }
 
-  // First-wins argmin in cell order == PickBest's `loss < best_loss` over
+  // First-wins argmin in cell order == TuneAndFit's `loss < best_loss` over
   // the same grid enumeration.
   double best_loss = std::numeric_limits<double>::infinity();
   int best = 0;

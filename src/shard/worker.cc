@@ -69,13 +69,27 @@ Status ShardWorker::Serve() {
           s = Status::InvalidArgument("shard worker: bad kTuneCells payload");
           break;
         }
+        const int grid = ml::TuningGridSize(kind, num_cols, config);
+        if (std::any_of(cells.begin(), cells.end(),
+                        [grid](int cell) { return cell < 0 || cell >= grid; })) {
+          s = Status::InvalidArgument("shard worker: bad tune cell");
+          break;
+        }
         const Dataset d(num_cols, std::move(x), std::move(y));
+        // One staged scoring over this worker's cells. GBT cells that
+        // differ only in round count share a fit only when they land on the
+        // same worker; the coordinator deals cells round-robin, so on the
+        // quick grid with two or more workers each cell is fitted alone.
+        // Either way a cell's loss is the double TuneAndFit scores it at.
+        const std::vector<double> losses =
+            ml::TuningCellLosses(kind, cells, d, seed, config);
+        metrics_.counter("shard.worker.tune_cells")
+            ->Add(static_cast<uint64_t>(cells.size()));
         util::ByteWriter out;
         out.U64(cells.size());
-        for (int cell : cells) {
-          metrics_.counter("shard.worker.tune_cells")->Add();
-          out.I32(cell);
-          out.F64(ml::TuningCellLoss(kind, cell, d, seed, config));
+        for (size_t i = 0; i < cells.size(); ++i) {
+          out.I32(cells[i]);
+          out.F64(losses[i]);
         }
         s = WriteFrame(fd_, MsgType::kTuneReply, out);
         break;
@@ -125,16 +139,10 @@ Status ShardWorker::HandleSketch(const std::string& payload) {
     metrics_.counter("shard.worker.blocks")->Add();
     metrics_.counter("shard.worker.rows")->Add(static_cast<uint64_t>(rows));
     y_.insert(y_.end(), block->y, block->y + rows);
-    // Per-block local sketches folded in block order -- the serial
-    // BuildStreamed discipline, so a 1-worker fleet's summary state equals
-    // the single-process build's even in the sketch-overflow regime.
-    std::vector<ColumnSketch> local(static_cast<size_t>(m_),
-                                    ColumnSketch(eps_));
-    SketchRows(block->x.data(), rows, m_, cap_, &local);
-    for (int j = 0; j < m_; ++j) {
-      acc[static_cast<size_t>(j)].MergeFrom(local[static_cast<size_t>(j)],
-                                            cap_);
-    }
+    // Per-block summaries folded in block order -- BuildStreamed's
+    // per-column step, so a 1-worker fleet's summary state equals the
+    // single-process build's even in the sketch-overflow regime.
+    SketchBlock(block->x.data(), rows, m_, cap_, &acc);
   }
   if (n > std::numeric_limits<int>::max()) {
     return Status::InvalidArgument("shard worker: shard exceeds 2^31 rows");

@@ -261,6 +261,32 @@ TEST(BinnedIndexTest, StreamedBuildIsByteIdenticalToPerValueReference) {
   }
 }
 
+// The sketch pass folds each column's block summaries on whichever thread
+// runs the column's fold (FoldBlock). On an overflowing 100k x 20 stream (every column in
+// the sketch regime, 25 blocks), the index bytes and both fingerprints are
+// the same with idle cores as with every fork-join slot held.
+TEST(BinnedIndexTest, SketchFoldIsIndependentOfIdleCores) {
+  const auto data = std::make_shared<const Dataset>(MakeData(100000, 20, 14));
+  std::vector<std::string> bytes;
+  std::vector<uint64_t> fingerprints;
+  for (const bool busy : {false, true}) {
+    std::unique_ptr<HoldAllSlots> hold;
+    if (busy) hold = std::make_unique<HoldAllSlots>();
+    MatrixSource source(data);
+    Result<StreamedDataset> built = BinnedIndex::BuildStreamed(&source);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_EQ(built->index->kind(), BinnedIndex::BuildKind::kSketch);
+    util::ByteWriter out;
+    built->index->Serialize(&out);
+    bytes.push_back(out.data());
+    fingerprints.push_back(built->input_fingerprint);
+    fingerprints.push_back(built->fingerprint);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(fingerprints[0], fingerprints[2]);
+  EXPECT_EQ(fingerprints[1], fingerprints[3]);
+}
+
 TEST(BinnedIndexTest, ColumnSummariesAreByteIdenticalToPerValueReference) {
   const Dataset d = MixedRegimeData(20000, 12);
   const int cap = 256;
@@ -271,11 +297,8 @@ TEST(BinnedIndexTest, ColumnSummariesAreByteIdenticalToPerValueReference) {
   std::vector<reference::ColumnSummary> ref(
       static_cast<size_t>(d.num_cols()), reference::ColumnSummary(eps));
   for (int r0 = 0; r0 < d.num_rows(); r0 += block_rows) {
-    std::vector<ColumnSketch> local(static_cast<size_t>(d.num_cols()),
-                                    ColumnSketch(eps));
-    SketchRows(d.row(r0), block_rows, d.num_cols(), cap, &local);
+    SketchBlock(d.row(r0), block_rows, d.num_cols(), cap, &acc);
     for (int j = 0; j < d.num_cols(); ++j) {
-      acc[static_cast<size_t>(j)].MergeFrom(local[static_cast<size_t>(j)], cap);
       reference::ColumnSummary ref_local(eps);
       for (int r = 0; r < block_rows; ++r) {
         ref_local.AddValue(d.x(r0 + r, j), cap);

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "ml/cart.h"
+#include "ml/order_partition.h"
+#include "reference_partition.h"
 #include "util/rng.h"
 
 namespace reds::ml {
@@ -18,6 +22,72 @@ Dataset StepData(int n, uint64_t seed) {
     d.AddRow(x, x[0] > 0.5 ? 1.0 : 0.0);
   }
   return d;
+}
+
+// Runs the library partition and the stable_partition oracle on copies of
+// `orders` and demands identical arrays.
+void ExpectPartitionMatchesOracle(const std::vector<std::vector<int>>& orders,
+                                  int begin, int end,
+                                  const std::vector<uint8_t>& goes_left) {
+  std::vector<std::vector<int>> got = orders;
+  std::vector<std::vector<int>> want = orders;
+  std::vector<int> scratch(static_cast<size_t>(end - begin));
+  StablePartitionOrders(&got, begin, end, goes_left, &scratch);
+  reference::StablePartitionOrders(&want, begin, end, goes_left);
+  EXPECT_EQ(got, want) << "segment [" << begin << ", " << end << ")";
+}
+
+// M order arrays, each a random permutation of `entries` (entries may
+// repeat, as bootstrap positions do).
+std::vector<std::vector<int>> ShuffledOrders(const std::vector<int>& entries,
+                                             int m, Rng* rng) {
+  std::vector<std::vector<int>> orders(static_cast<size_t>(m), entries);
+  for (std::vector<int>& ord : orders) rng->Shuffle(&ord);
+  return orders;
+}
+
+TEST(OrderPartitionTest, BranchFreePartitionMatchesStablePartition) {
+  Rng rng(17);
+  constexpr int kEntries = 257;
+  std::vector<int> distinct(kEntries);
+  for (int i = 0; i < kEntries; ++i) distinct[static_cast<size_t>(i)] = i;
+  // Bootstrap-style multiset: every entry drawn with replacement.
+  std::vector<int> bootstrap(kEntries);
+  for (int& e : bootstrap) e = static_cast<int>(rng.UniformInt(kEntries));
+
+  for (const std::vector<int>* entries : {&distinct, &bootstrap}) {
+    const auto orders = ShuffledOrders(*entries, 20, &rng);
+    const int n = static_cast<int>(entries->size());
+    for (const double p_left : {0.0, 0.03, 0.5, 0.97, 1.0}) {
+      std::vector<uint8_t> goes_left(kEntries);
+      // Flags other than 0/1 must still count as "left".
+      for (uint8_t& f : goes_left) {
+        f = rng.Bernoulli(p_left) ? static_cast<uint8_t>(1 + rng.UniformInt(255))
+                                  : 0;
+      }
+      ExpectPartitionMatchesOracle(orders, 0, n, goes_left);
+      // Interior sub-segments, including empty and one-entry ones.
+      for (const auto& [b, e] : std::vector<std::pair<int, int>>{
+               {0, 1}, {5, 5}, {13, 200}, {100, n}, {n - 1, n}}) {
+        ExpectPartitionMatchesOracle(orders, b, e, goes_left);
+      }
+    }
+  }
+}
+
+TEST(OrderPartitionTest, AllLeftAndAllRightSegmentsStayPut) {
+  Rng rng(18);
+  std::vector<int> entries(100);
+  for (int i = 0; i < 100; ++i) entries[static_cast<size_t>(i)] = i;
+  const auto orders = ShuffledOrders(entries, 4, &rng);
+  for (const uint8_t flag : {uint8_t{0}, uint8_t{1}}) {
+    const std::vector<uint8_t> goes_left(100, flag);
+    std::vector<std::vector<int>> got = orders;
+    std::vector<int> scratch(60);
+    StablePartitionOrders(&got, 20, 80, goes_left, &scratch);
+    EXPECT_EQ(got, orders);
+    ExpectPartitionMatchesOracle(orders, 20, 80, goes_left);
+  }
 }
 
 TEST(CartTest, LearnsSingleSplit) {

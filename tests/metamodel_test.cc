@@ -1,12 +1,17 @@
 // Tests for the metamodels (random forest, gradient boosted trees, RBF-SVM),
 // the classification metrics and the CV tuning harness.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <new>
 #include <memory>
 #include <string>
 #include <vector>
@@ -403,6 +408,54 @@ TEST(PredictBlockTest, BitIdenticalToPerRowOracleForEveryKind) {
     }
   }
 }
+
+// Sanitizer runtimes reserve address space far beyond any useful cap.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+// Bytes of address space this process maps right now.
+size_t MappedBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t pages = 0;
+  statm >> pages;
+  return pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+constexpr int kFitCaught = 0;
+constexpr int kFitCompleted = 1;
+
+// The death-test child's body: builds 200k x 8 training values, caps its
+// own address space (RLIMIT_AS) a few MB above what it then maps -- far
+// below what indexing and fitting them needs -- and fits.
+[[noreturn]] void HistogramFitUnderCap() {
+  Rng rng(3);
+  Dataset d(8);
+  std::vector<double> x(8);
+  for (int i = 0; i < 200000; ++i) {
+    for (double& v : x) v = rng.Uniform();
+    d.AddRow(x, x[0] < 0.5 ? 1.0 : 0.0);
+  }
+  const rlimit cap{MappedBytes() + (size_t{4} << 20), RLIM_INFINITY};
+  if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(2);
+  try {
+    GbtConfig config;
+    config.num_rounds = 5;
+    config.backend = SplitBackend::kHistogram;
+    GradientBoostedTrees gbt(config);
+    gbt.Fit(d, 1);
+  } catch (const std::bad_alloc&) {
+    std::_Exit(kFitCaught);
+  }
+  std::_Exit(kFitCompleted);
+}
+
+// A whole histogram-backend GBT fit that runs out of memory fails with
+// std::bad_alloc instead of crashing. The threadsafe death-test style
+// forks and re-executes this binary, so the cap holds in that child only.
+TEST(GbtOutOfMemoryTest, HistogramFitThrowsBadAlloc) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(HistogramFitUnderCap(), ::testing::ExitedWithCode(kFitCaught),
+              "");
+}
+#endif
 
 TEST(TuningTest, MetamodelSuffixNames) {
   EXPECT_EQ(MetamodelSuffix(MetamodelKind::kRandomForest), "f");

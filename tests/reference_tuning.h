@@ -1,7 +1,8 @@
 // Test-only oracle for k-fold CV grid tuning, kept as the straightforward
 // materialized plan: every fold's training rows are copied into their own
 // Dataset (SubsetRows) and indexed once, every grid cell fits on those
-// copies in a serial loop, and the winner refits on all of d. The
+// copies on its own in a serial loop (no staged scoring), and the winner
+// refits on all of d. The
 // library's TuneAndFit fits through row views over one shared full-data
 // index instead and must pick the same cell and return the same model
 // wherever the fold views are exact (presorted always; histogram under
@@ -25,8 +26,9 @@
 
 namespace reds::reference {
 
-/// TuneAndFit with every CV fold materialized.
-inline std::unique_ptr<ml::Metamodel> TuneAndFitMaterialized(
+/// Mean CV log-loss of every grid cell, each fitted on its own on every
+/// materialized fold, in cell order.
+inline std::vector<double> CellLossesMaterialized(
     ml::MetamodelKind kind, const Dataset& d, uint64_t seed,
     const ml::TuningConfig& config = {}) {
   struct Fold {
@@ -59,8 +61,7 @@ inline std::unique_ptr<ml::Metamodel> TuneAndFitMaterialized(
 
   const int m = d.num_cols();
   const int cells = ml::TuningGridSize(kind, m, config);
-  double best_loss = std::numeric_limits<double>::infinity();
-  int best = 0;
+  std::vector<double> losses;
   for (int g = 0; g < cells; ++g) {
     const uint64_t g_seed = DeriveSeed(seed, static_cast<uint64_t>(g));
     double total = 0.0;
@@ -80,10 +81,23 @@ inline std::unique_ptr<ml::Metamodel> TuneAndFitMaterialized(
           prob.data());
       total += ml::LogLoss(prob, y);
     }
-    const double loss = total / config.folds;
-    if (loss < best_loss) {  // first-wins in cell order
-      best_loss = loss;
-      best = g;
+    losses.push_back(total / config.folds);
+  }
+  return losses;
+}
+
+/// TuneAndFit with every CV fold materialized.
+inline std::unique_ptr<ml::Metamodel> TuneAndFitMaterialized(
+    ml::MetamodelKind kind, const Dataset& d, uint64_t seed,
+    const ml::TuningConfig& config = {}) {
+  const std::vector<double> losses =
+      CellLossesMaterialized(kind, d, seed, config);
+  double best_loss = std::numeric_limits<double>::infinity();
+  int best = 0;
+  for (size_t g = 0; g < losses.size(); ++g) {
+    if (losses[g] < best_loss) {  // first-wins in cell order
+      best_loss = losses[g];
+      best = static_cast<int>(g);
     }
   }
   return ml::TuningCellFit(kind, best, d, seed, config);

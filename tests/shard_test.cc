@@ -273,6 +273,39 @@ TEST(ShardFleetTest, GlobalBinsMatchSingleProcessForAnyWorkerCount) {
   }
 }
 
+// A 1-worker fleet folds its blocks' summaries exactly as BuildStreamed
+// does, so even in the sketch regime (256 grid values over a 64-bin cap)
+// its global bins equal the single-process build's.
+TEST(ShardFleetTest, OneWorkerSketchRegimeMatchesSingleProcess) {
+  SourceSpec spec = TestSpec();
+  spec.distinct = 256;
+  StreamedBuildOptions options = BuildOptions(spec);
+  options.max_bins = 64;
+  SyntheticBlockSource source(spec, 1, 0);
+  Result<StreamedDataset> reference =
+      BinnedIndex::BuildStreamed(&source, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->index->kind(), BinnedIndex::BuildKind::kSketch);
+
+  Fleet fleet(spec, 1);
+  ShardCoordinator coordinator(fleet.coordinator_fds(), options);
+  ASSERT_TRUE(coordinator.BuildGlobalBins().ok());
+  const GlobalBins& bins = coordinator.bins();
+  EXPECT_EQ(bins.kind, reference->index->kind());
+  ASSERT_EQ(bins.num_cols, reference->index->num_cols());
+  for (int j = 0; j < bins.num_cols; ++j) {
+    ASSERT_EQ(bins.num_bins[static_cast<size_t>(j)],
+              reference->index->num_bins(j));
+    for (int b = 0; b < bins.num_bins[static_cast<size_t>(j)]; ++b) {
+      EXPECT_EQ(bins.bin_first[static_cast<size_t>(j)][static_cast<size_t>(b)],
+                reference->index->bin_first(j, b));
+      EXPECT_EQ(bins.bin_last[static_cast<size_t>(j)][static_cast<size_t>(b)],
+                reference->index->bin_last(j, b));
+    }
+  }
+  EXPECT_TRUE(coordinator.Shutdown().ok());
+}
+
 // Satellite: the coordinator folds worker sketch summaries in worker-index
 // order, but in the exact regime the fold is order-invariant -- any
 // arrival order yields the same global bin bounds.

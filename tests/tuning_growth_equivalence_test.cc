@@ -3,6 +3,8 @@
 //    pick the same grid cell -- and produce the same final model -- as the
 //    materialized oracle of tests/reference_tuning.h, which copies every
 //    fold matrix;
+//  - staged CV scoring (GBT cells that differ only in round count scored
+//    off one fit) must give every cell the loss of fitting it alone;
 //  - FitOnRows on a shared index must be bit-identical to materializing the
 //    subset, for every tree family;
 //  - leaf-wise (best-first) growth with no leaf cap must reproduce the
@@ -11,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ml/cart.h"
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
+#include "ml/serialize.h"
 #include "ml/tuning.h"
 #include "reference_tuning.h"
 #include "util/rng.h"
@@ -87,6 +91,97 @@ TEST(StreamedTuningTest, SameModelOnHistogramBackendWithinBinBudget) {
     const auto b = reference::TuneAndFitMaterialized(ml::MetamodelKind::kGbt,
                                                      d, seed, config);
     ExpectSamePredictions(*a, *b, probe, "histogram");
+  }
+}
+
+std::string ModelBytes(const ml::Metamodel& model, ml::MetamodelKind kind) {
+  util::ByteWriter out;
+  ml::SerializeMetamodel(model, kind, &out);
+  return out.data();
+}
+
+TEST(StagedTuningTest, GridLossesEqualPerCellLossesBitForBit) {
+  // Exact-pack data (40 distinct values), so both backends' fold views are
+  // exact. The whole grid scored at once shares one GBT fit per (depth,
+  // eta, fold); each cell scored alone fits its own round count.
+  const Dataset d = MakeData(300, 4, 371, /*fractional=*/false, 40);
+  struct Case {
+    ml::MetamodelKind kind;
+    ml::TuningBudget budget;
+  };
+  for (const Case c : {Case{ml::MetamodelKind::kGbt, ml::TuningBudget::kQuick},
+                       Case{ml::MetamodelKind::kGbt, ml::TuningBudget::kFull},
+                       Case{ml::MetamodelKind::kRandomForest,
+                            ml::TuningBudget::kQuick},
+                       Case{ml::MetamodelKind::kSvm, ml::TuningBudget::kQuick}}) {
+    for (const auto backend :
+         {ml::SplitBackend::kPresorted, ml::SplitBackend::kHistogram}) {
+      ml::TuningConfig config;
+      config.folds = 3;
+      config.budget = c.budget;
+      config.backend = backend;
+      const int grid = ml::TuningGridSize(c.kind, d.num_cols(), config);
+      std::vector<int> cells(static_cast<size_t>(grid));
+      for (int g = 0; g < grid; ++g) cells[static_cast<size_t>(g)] = g;
+      const std::vector<double> staged =
+          ml::TuningCellLosses(c.kind, cells, d, 53, config);
+      // Every cell fitted alone, on materialized folds.
+      const std::vector<double> alone =
+          reference::CellLossesMaterialized(c.kind, d, 53, config);
+      ASSERT_EQ(staged.size(), cells.size());
+      ASSERT_EQ(alone.size(), cells.size());
+      int best = 0;
+      for (int g = 0; g < grid; ++g) {
+        EXPECT_EQ(staged[static_cast<size_t>(g)],
+                  ml::TuningCellLosses(c.kind, {g}, d, 53, config).front())
+            << "kind " << static_cast<int>(c.kind) << " cell " << g;
+        EXPECT_EQ(staged[static_cast<size_t>(g)], alone[static_cast<size_t>(g)])
+            << "kind " << static_cast<int>(c.kind) << " cell " << g;
+        if (staged[static_cast<size_t>(g)] <
+            staged[static_cast<size_t>(best)]) {
+          best = g;
+        }
+      }
+      // TuneAndFit picks the staged argmin (first-wins) and refits it: the
+      // same bytes as refitting that cell, and as the materialized oracle.
+      const auto tuned = ml::TuneAndFit(c.kind, d, 53, config);
+      const std::string bytes = ModelBytes(*tuned, c.kind);
+      EXPECT_EQ(bytes,
+                ModelBytes(*ml::TuningCellFit(c.kind, best, d, 53, config),
+                           c.kind));
+      EXPECT_EQ(bytes,
+                ModelBytes(*reference::TuneAndFitMaterialized(c.kind, d, 53,
+                                                              config),
+                           c.kind));
+    }
+  }
+}
+
+TEST(StagedTuningTest, ShortFitEqualsTreePrefixOfLongFit) {
+  const Dataset d = MakeData(400, 4, 381, /*fractional=*/false, 40);
+  const Dataset probe = MakeData(150, 4, 382);
+  const la::ConstMatrixView x(probe.row(0), probe.num_rows(),
+                              probe.num_cols());
+  for (const auto backend :
+       {ml::SplitBackend::kPresorted, ml::SplitBackend::kHistogram}) {
+    ml::GbtConfig config;
+    config.max_depth = 3;
+    config.backend = backend;
+    config.num_rounds = 50;
+    ml::GradientBoostedTrees short_fit(config);
+    short_fit.Fit(d, 5);
+    config.num_rounds = 100;
+    ml::GradientBoostedTrees long_fit(config);
+    long_fit.Fit(d, 6);  // a different seed: no draw depends on it
+    std::vector<double> want(static_cast<size_t>(probe.num_rows()));
+    std::vector<double> got(want.size());
+    short_fit.PredictBlock(x, want.data());
+    long_fit.PredictBlock(x, 50, got.data());
+    EXPECT_EQ(got, want);
+    // The full prefix is the plain PredictBlock.
+    long_fit.PredictBlock(x, 100, got.data());
+    long_fit.PredictBlock(x, want.data());
+    EXPECT_EQ(got, want);
   }
 }
 
